@@ -2152,7 +2152,7 @@ fn query_id_of(msg: &DirqMessage) -> Option<QueryId> {
 // Between MAC slots the engine dispatches each slot's indications to the
 // protocol handlers. The MAC emits them in a fixed shape: a prefix of
 // Delivered/NeighborNew events in non-decreasing listener order (the
-// listener phase scans listeners ascending), then per-transmitter
+// MAC's upcall pass visits listeners ascending), then per-transmitter
 // Undeliverable batches, with NeighborDied only at the frame boundary.
 // Handlers touch only their own node's protocol state, so the prefix can
 // be cut into listener-disjoint chunks and run concurrently — everything
@@ -2247,7 +2247,7 @@ fn dispatch_listener(ind: &MacIndication<DirqMessage>) -> Option<NodeId> {
 
 /// Length of the leading run of Delivered/NeighborNew indications with
 /// non-decreasing listeners — the region whose handlers touch disjoint
-/// per-node state. The MAC emits the whole listener phase in this shape;
+/// per-node state. The MAC emits a slot's receptions in this shape;
 /// the check is defensive so correctness never depends on that invariant.
 fn dispatch_prefix_len(inds: &[MacIndication<DirqMessage>]) -> usize {
     let mut prev: Option<NodeId> = None;

@@ -19,12 +19,9 @@ pub struct LmacConfig {
     /// advertises the recipients of each; the paper's cost model counts
     /// messages, not slots.
     pub data_messages_per_slot: usize,
-    /// Worker threads for the colour-class parallel listener phase
-    /// (1 = fully serial slot loop, the default). The listener loop is
-    /// sharded across the topology's precomputed 2-hop colour classes and
-    /// merged back in listener order, so results are **bit-identical at
-    /// any setting**; helper threads are clamped to the machine's
-    /// available parallelism.
+    /// Retained for configuration compatibility only: it no longer
+    /// affects the MAC, whose reception is one serial streaming pass.
+    /// Must be at least 1.
     pub workers: usize,
 }
 

@@ -16,9 +16,10 @@
 //! This crate reproduces exactly that contract:
 //!
 //! * [`slots`] — fixed-size slot bitmaps used by the distributed scheduler.
-//! * [`config`] — frame geometry, liveness and parallelism parameters.
+//! * [`config`] — frame geometry and liveness parameters.
 //! * [`neighbor`] — the network-owned, edge-aligned neighbour arena with
-//!   last-heard tracking, read through typed per-node views.
+//!   last-heard tracking, stored transmitter-major and read through typed
+//!   per-node views.
 //! * [`indication`] — the upcall stream handed to the upper layer
 //!   (deliveries, dead-neighbour and new-neighbour events).
 //! * [`network`] — [`network::LmacNetwork`], the slot-synchronous state

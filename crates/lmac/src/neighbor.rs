@@ -4,33 +4,35 @@
 //! per-listener reception then hopped through one heap allocation per node
 //! (~35 % of the remaining 5 000-node epoch cost was this control plane).
 //! The arena flattens all of those rows into **one network-owned array
-//! aligned to the topology's CSR edge slots**: the entry describing
-//! neighbour `neighbors(l)[p]` as seen by listener `l` lives at
-//! `Topology::row_start(l) + p`. Listener-loop stores therefore walk one
-//! contiguous array in listener order, and the per-transmission position is
-//! resolved once from the MAC's edge-mirror index — a direct indexed store,
-//! no per-event search ([`NeighborArena::heard_at`]).
+//! aligned to the topology's CSR edge slots, transmitter-major**: the entry
+//! describing what listener `l` knows about neighbour `t` lives at the CSR
+//! edge `t → l`, i.e. `Topology::row_start(t) + q` where
+//! `neighbors(t)[q] == l`. The MAC's reception pass walks each
+//! transmitter's row, so its stores stream through one contiguous run of
+//! the array per transmission, each addressed by the edge index the pass
+//! already holds ([`NeighborArena::heard_at`]) — no per-event position
+//! lookup.
 //!
 //! ## Views and cursors
 //!
 //! Readers (the engine's cross-layer tree repair, the MAC's slot selection)
-//! go through [`NeighborView`], a typed cursor over one node's row. The
-//! aggregate views the MAC reads every slot — 1-hop slot occupancy and the
-//! minimum advertised gateway distance — are cached per node and recomputed
-//! lazily only when an update could have changed them; in steady state the
-//! caches never invalidate.
+//! go through [`NeighborView`], a typed cursor over one node's row. A row
+//! is listener-major: `rev[row_start(l) + p]` is the storage index of
+//! `l`'s entry for `neighbors(l)[p]`, so views, removals, row resets and
+//! snapshots gather through `rev` and still see neighbours in ascending id
+//! order. Snapshots are written in that listener-major order, which keeps
+//! `DIRQSNAP` images independent of the storage layout. The aggregate
+//! views the MAC reads every slot — 1-hop slot occupancy and the minimum
+//! advertised gateway distance — are cached per node and recomputed lazily
+//! only when an update could have changed them; in steady state the caches
+//! never invalidate.
 //!
-//! ## Parallel discipline
+//! ## Write discipline
 //!
-//! The colour-class parallel listener phase mutates rows of *distinct*
-//! listeners concurrently through [`ArenaRaw`], a raw-pointer handle derived
-//! from the single `&mut NeighborArena`. Every mutating entry point funnels
-//! through the same raw implementation, so the serial and sharded paths
-//! share one arena-mutation core (the listener-loop protocol around it
-//! exists in both `serial_listener_loop` and the sharded phase, pinned
-//! bit-equal by the 256-case differential suite); disjointness (one worker
-//! per listener row, and per-row caches/counters indexed by the same
-//! listener) is what makes the unsynchronised stores race-free.
+//! Every mutation goes through `&mut NeighborArena` on one thread. Each
+//! store updates its entry and the listener-indexed bookkeeping (presence
+//! count, caches) in the same call, so the arena is consistent after every
+//! call.
 
 use std::cell::Cell;
 
@@ -53,42 +55,32 @@ pub struct NeighborInfo {
     pub last_heard_frame: u64,
 }
 
-/// One edge-aligned arena slot: listener `l`'s knowledge of
-/// `neighbors(l)[p]`.
-#[derive(Clone, Debug)]
-struct EdgeEntry {
-    present: bool,
-    info: NeighborInfo,
-}
-
-impl EdgeEntry {
-    fn vacant() -> Self {
-        EdgeEntry {
-            present: false,
-            info: NeighborInfo {
-                slot: None,
-                occupied: SlotSet::EMPTY,
-                gateway_dist: u16::MAX,
-                last_heard_frame: 0,
-            },
-        }
-    }
+/// Whether `info` is unheard since `frame - max_missed` (exclusive): a
+/// candidate for a dead-neighbour upcall at `frame`.
+#[inline]
+fn is_stale(info: &NeighborInfo, frame: u64, max_missed: u32) -> bool {
+    frame.saturating_sub(info.last_heard_frame) > u64::from(max_missed)
 }
 
 /// The global neighbour store: one entry per directed CSR edge of the
-/// topology, aligned so listener `l`'s row occupies
-/// `row_start(l)..row_start(l) + degree(l)`.
+/// topology, stored at the transmitter's out-edge (see the module docs).
 #[derive(Clone, Debug)]
 pub struct NeighborArena {
-    /// CSR row starts (`row_offsets[l]..row_offsets[l + 1]` indexes the
+    /// CSR row starts (`row_offsets[u]..row_offsets[u + 1]` indexes the
     /// edge arrays), mirroring the topology's offsets.
     row_offsets: Vec<u32>,
-    /// Edge targets (a copy of the CSR target array): `ids[row_start(l) +
-    /// p] == neighbors(l)[p]`. Kept inline so views resolve ids without
-    /// holding the topology.
+    /// Edge targets (a copy of the CSR target array): `ids[row_start(u) +
+    /// p] == neighbors(u)[p]`. Read along a listener's row it names the
+    /// neighbours its view reports; read at a storage index it names the
+    /// listener owning that entry.
     ids: Vec<NodeId>,
-    /// Per-edge neighbour knowledge.
-    entries: Vec<EdgeEntry>,
+    /// Listener-row index → storage index: `rev[row_start(l) + p]` is the
+    /// CSR edge `t → l` for `t = neighbors(l)[p]`.
+    rev: Vec<u32>,
+    /// Per-edge neighbour knowledge (`None` = not known), in storage
+    /// (transmitter-major) order. `Option` packs into the spare values of
+    /// `NeighborInfo::slot`, so an entry stays 32 bytes.
+    entries: Vec<Option<NeighborInfo>>,
     /// Per-node count of present entries.
     present: Vec<u32>,
     /// Per-node cached 1-hop occupancy (`None` = dirty).
@@ -103,18 +95,27 @@ impl NeighborArena {
     pub fn new(topo: &Topology) -> Self {
         let n = topo.len();
         let mut row_offsets = Vec::with_capacity(n + 1);
-        let mut ids = Vec::new();
+        let mut ids = Vec::with_capacity(2 * topo.link_count());
+        let mut rev = Vec::with_capacity(2 * topo.link_count());
         row_offsets.push(0u32);
         for i in 0..n {
-            let row = topo.neighbors(NodeId::from_index(i));
+            let l = NodeId::from_index(i);
+            let row = topo.neighbors(l);
             debug_assert!(row.windows(2).all(|w| w[0] < w[1]), "CSR row must be ascending");
             ids.extend_from_slice(row);
+            // Rows are ascending, so each reverse edge is one binary
+            // search, once.
+            for &t in row {
+                let q = topo.neighbors(t).binary_search(&l).expect("undirected edge");
+                rev.push((topo.row_start(t) + q) as u32);
+            }
             row_offsets.push(ids.len() as u32);
         }
         NeighborArena {
             row_offsets,
-            entries: vec![EdgeEntry::vacant(); ids.len()],
+            entries: vec![None; ids.len()],
             ids,
+            rev,
             present: vec![0; n],
             occ_cache: (0..n).map(|_| Cell::new(None)).collect(),
             gw_cache: (0..n).map(|_| Cell::new(None)).collect(),
@@ -137,6 +138,20 @@ impl NeighborArena {
         (self.row_offsets[i] as usize, self.row_offsets[i + 1] as usize)
     }
 
+    /// Storage index of `listener`'s entry for `node` (`None` when the two
+    /// are not adjacent).
+    fn edge_of(&self, listener: NodeId, node: NodeId) -> Option<usize> {
+        let (lo, hi) = self.row_bounds(listener);
+        self.ids[lo..hi].binary_search(&node).ok().map(|p| self.rev[lo + p] as usize)
+    }
+
+    /// Mark `listener`'s row caches dirty.
+    #[inline]
+    fn invalidate(&self, listener: usize) {
+        self.occ_cache[listener].set(None);
+        self.gw_cache[listener].set(None);
+    }
+
     /// Typed read view over `node`'s row.
     #[inline]
     pub fn view(&self, node: NodeId) -> NeighborView<'_> {
@@ -146,18 +161,20 @@ impl NeighborArena {
     /// Forget everything `node`'s row knows (death/rebirth reset).
     pub fn reset_row(&mut self, node: NodeId) {
         let (lo, hi) = self.row_bounds(node);
-        for e in &mut self.entries[lo..hi] {
-            *e = EdgeEntry::vacant();
+        for &s in &self.rev[lo..hi] {
+            self.entries[s as usize] = None;
         }
         self.present[node.index()] = 0;
-        self.occ_cache[node.index()].set(None);
-        self.gw_cache[node.index()].set(None);
+        self.invalidate(node.index());
     }
 
     /// Record `listener` hearing `node` in `frame`; returns `true` when the
     /// neighbour is new to the row (triggering LMAC's new-neighbour
-    /// upcall). Resolves the row position by binary search — the cold path;
-    /// the reception hot loop uses [`NeighborArena::heard_at`].
+    /// upcall). Resolves the entry by binary search — the cold path; the
+    /// reception pass uses [`NeighborArena::heard_at`].
+    ///
+    /// # Panics
+    /// Panics when `node` is not in `listener`'s topology row.
     pub fn heard(
         &mut self,
         listener: NodeId,
@@ -167,88 +184,97 @@ impl NeighborArena {
         gateway_dist: u16,
         frame: u64,
     ) -> bool {
-        // SAFETY: `&mut self` gives exclusive access; the raw core resolves
-        // (and validates) the row position itself.
-        unsafe { self.raw().heard(listener, node, slot, occupied, gateway_dist, frame) }
+        let edge = self
+            .edge_of(listener, node)
+            .unwrap_or_else(|| panic!("{node} is not in {listener}'s topology row"));
+        self.heard_at(listener, edge, slot, occupied, gateway_dist, frame)
     }
 
-    /// [`NeighborArena::heard`] with the entry position already known (the
-    /// transmitter's position in `listener`'s topology row, from the MAC's
-    /// edge-mirror index) — the reception hot path. `pos` must address
-    /// `node`'s entry.
-    ///
-    /// # Panics
-    /// Panics when `pos` lies outside `listener`'s row (this is a safe
-    /// entry point; the unchecked variant is the crate-internal
-    /// [`ArenaRaw`]).
+    /// [`NeighborArena::heard`] addressed by storage index: `edge` is the
+    /// CSR edge `t → listener` (`Topology::row_start(t) + q` with
+    /// `neighbors(t)[q] == listener`), which a pass over the transmitter's
+    /// row holds already.
     #[inline]
-    #[allow(clippy::too_many_arguments)]
-    pub fn heard_at(
+    pub(crate) fn heard_at(
         &mut self,
         listener: NodeId,
-        pos: usize,
-        node: NodeId,
+        edge: usize,
         slot: Option<u16>,
         occupied: SlotSet,
         gateway_dist: u16,
         frame: u64,
     ) -> bool {
-        let (lo, hi) = self.row_bounds(listener);
-        assert!(pos < hi - lo, "heard_at position {pos} outside {listener}'s row");
-        // SAFETY: bounds just checked; `&mut self` gives exclusive access.
-        unsafe { self.raw().heard_at(listener, pos, node, slot, occupied, gateway_dist, frame) }
+        debug_assert_eq!(self.ids[edge], listener, "edge {edge} does not lead to {listener}");
+        let li = listener.index();
+        let e = &mut self.entries[edge];
+        let is_new = match e {
+            None => {
+                self.present[li] += 1;
+                self.occ_cache[li].set(None);
+                self.gw_cache[li].set(None);
+                true
+            }
+            Some(old) => {
+                if old.slot != slot {
+                    self.occ_cache[li].set(None);
+                }
+                if old.gateway_dist != gateway_dist {
+                    self.gw_cache[li].set(None);
+                }
+                false
+            }
+        };
+        *e = Some(NeighborInfo { slot, occupied, gateway_dist, last_heard_frame: frame });
+        is_new
     }
 
     /// Remove `node` from `listener`'s row; returns whether it was present.
     pub fn remove(&mut self, listener: NodeId, node: NodeId) -> bool {
-        let (lo, hi) = self.row_bounds(listener);
-        let Ok(pos) = self.ids[lo..hi].binary_search(&node) else {
+        let Some(edge) = self.edge_of(listener, node) else {
             return false;
         };
-        let e = &mut self.entries[lo + pos];
-        if !e.present {
+        if self.entries[edge].take().is_none() {
             return false;
         }
-        e.present = false;
         self.present[listener.index()] -= 1;
-        self.occ_cache[listener.index()].set(None);
-        self.gw_cache[listener.index()].set(None);
+        self.invalidate(listener.index());
         true
     }
 
-    /// Append `listener`'s neighbours unheard since `frame - max_missed`
-    /// (exclusive) — candidates for a dead-neighbour upcall — to a
-    /// caller-owned buffer, ascending.
-    pub fn collect_stale(
+    /// Append `(observer, neighbour)` for every entry unheard since
+    /// `frame - max_missed` (exclusive) — the dead-neighbour candidates
+    /// of the whole network — in storage order, i.e. grouped by the
+    /// silent neighbour. One sequential sweep of the arena.
+    pub(crate) fn collect_stale_edges(
         &self,
-        listener: NodeId,
         frame: u64,
         max_missed: u32,
-        out: &mut Vec<NodeId>,
+        out: &mut Vec<(NodeId, NodeId)>,
     ) {
-        if self.present[listener.index()] == 0 {
-            return;
-        }
-        let (lo, hi) = self.row_bounds(listener);
-        for (e, &id) in self.entries[lo..hi].iter().zip(&self.ids[lo..hi]) {
-            if e.present && frame.saturating_sub(e.info.last_heard_frame) > u64::from(max_missed) {
-                out.push(id);
+        for (t, w) in self.row_offsets.windows(2).enumerate() {
+            let (lo, hi) = (w[0] as usize, w[1] as usize);
+            for (e, &observer) in self.entries[lo..hi].iter().zip(&self.ids[lo..hi]) {
+                if e.as_ref().is_some_and(|info| is_stale(info, frame, max_missed)) {
+                    out.push((observer, NodeId::from_index(t)));
+                }
             }
         }
     }
 
-    /// Write every edge entry to `w`. Row structure is topology-derived
-    /// and not serialized; only the dynamic knowledge is.
+    /// Write every edge entry to `w`, in listener-major row order. Row
+    /// structure is topology-derived and not serialized; only the dynamic
+    /// knowledge is.
     pub fn snap(&self, w: &mut SnapWriter) {
         w.tag(b"ARNA");
         w.len_of(self.entries.len());
-        for e in &self.entries {
-            w.bool(e.present);
-            if e.present {
-                w.opt_u16(e.info.slot);
-                w.u128(e.info.occupied.bits());
-                w.u16(e.info.gateway_dist);
-                w.u64(e.info.last_heard_frame);
+        for &s in &self.rev {
+            let e = &self.entries[s as usize];
+            w.bool(e.is_some());
+            if let Some(info) = e {
+                w.opt_u16(info.slot);
+                w.u128(info.occupied.bits());
+                w.u16(info.gateway_dist);
+                w.u64(info.last_heard_frame);
             }
         }
     }
@@ -263,132 +289,26 @@ impl NeighborArena {
         if n != self.entries.len() {
             return Err(SnapError::Malformed { pos, what: "arena edge count mismatch" });
         }
-        for e in &mut self.entries {
-            e.present = r.bool()?;
-            e.info = if e.present {
-                NeighborInfo {
+        for &s in &self.rev {
+            self.entries[s as usize] = if r.bool()? {
+                Some(NeighborInfo {
                     slot: r.opt_u16()?,
                     occupied: SlotSet::from_bits(r.u128()?),
                     gateway_dist: r.u16()?,
                     last_heard_frame: r.u64()?,
-                }
+                })
             } else {
-                EdgeEntry::vacant().info
+                None
             };
         }
         for i in 0..self.present.len() {
             let (lo, hi) = (self.row_offsets[i] as usize, self.row_offsets[i + 1] as usize);
-            self.present[i] = self.entries[lo..hi].iter().filter(|e| e.present).count() as u32;
-            self.occ_cache[i].set(None);
-            self.gw_cache[i].set(None);
+            self.present[i] =
+                self.rev[lo..hi].iter().filter(|&&s| self.entries[s as usize].is_some()).count()
+                    as u32;
+            self.invalidate(i);
         }
         Ok(())
-    }
-
-    /// Row-disjoint raw mutation handle (see the module docs). The caller
-    /// must guarantee that no two concurrent users touch the same
-    /// listener's row.
-    pub(crate) fn raw(&mut self) -> ArenaRaw {
-        ArenaRaw {
-            row_offsets: self.row_offsets.as_ptr(),
-            ids: self.ids.as_ptr(),
-            entries: self.entries.as_mut_ptr(),
-            present: self.present.as_mut_ptr(),
-            occ_cache: self.occ_cache.as_ptr(),
-            gw_cache: self.gw_cache.as_ptr(),
-        }
-    }
-}
-
-/// Raw-pointer cursor into the arena used by both the serial reception
-/// loop (via the safe wrappers) and the colour-class parallel listener
-/// phase. All mutating arena logic lives here so the two paths cannot
-/// drift apart.
-#[derive(Clone, Copy)]
-pub(crate) struct ArenaRaw {
-    row_offsets: *const u32,
-    ids: *const NodeId,
-    entries: *mut EdgeEntry,
-    present: *mut u32,
-    occ_cache: *const Cell<Option<SlotSet>>,
-    gw_cache: *const Cell<Option<u16>>,
-}
-
-impl ArenaRaw {
-    /// # Safety
-    /// The caller must have exclusive access to `listener`'s row (no other
-    /// thread may read or write it concurrently), and `pos` must be inside
-    /// the row and address `node`'s entry.
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) unsafe fn heard_at(
-        &self,
-        listener: NodeId,
-        pos: usize,
-        node: NodeId,
-        slot: Option<u16>,
-        occupied: SlotSet,
-        gateway_dist: u16,
-        frame: u64,
-    ) -> bool {
-        let li = listener.index();
-        let lo = *self.row_offsets.add(li) as usize;
-        debug_assert!(
-            lo + pos < *self.row_offsets.add(li + 1) as usize,
-            "heard_at position outside {listener}'s row"
-        );
-        debug_assert_eq!(
-            *self.ids.add(lo + pos),
-            node,
-            "heard_at position does not address the neighbour"
-        );
-        let e = &mut *self.entries.add(lo + pos);
-        let occ = &*self.occ_cache.add(li);
-        let gw = &*self.gw_cache.add(li);
-        let is_new = !e.present;
-        if is_new {
-            e.present = true;
-            *self.present.add(li) += 1;
-            occ.set(None);
-            gw.set(None);
-        } else {
-            if e.info.slot != slot {
-                occ.set(None);
-            }
-            if e.info.gateway_dist != gateway_dist {
-                gw.set(None);
-            }
-        }
-        e.info.slot = slot;
-        e.info.occupied = occupied;
-        e.info.gateway_dist = gateway_dist;
-        e.info.last_heard_frame = frame;
-        is_new
-    }
-
-    /// [`ArenaRaw::heard_at`] resolving the row position by binary search
-    /// (the cold reception paths: full-scan reference, collision
-    /// transients).
-    ///
-    /// # Safety
-    /// As [`ArenaRaw::heard_at`]; `node` must be in `listener`'s row.
-    pub(crate) unsafe fn heard(
-        &self,
-        listener: NodeId,
-        node: NodeId,
-        slot: Option<u16>,
-        occupied: SlotSet,
-        gateway_dist: u16,
-        frame: u64,
-    ) -> bool {
-        let li = listener.index();
-        let lo = *self.row_offsets.add(li) as usize;
-        let hi = *self.row_offsets.add(li + 1) as usize;
-        let row = std::slice::from_raw_parts(self.ids.add(lo), hi - lo);
-        let pos = row
-            .binary_search(&node)
-            .unwrap_or_else(|_| panic!("{node} is not in {listener}'s topology row"));
-        self.heard_at(listener, pos, node, slot, occupied, gateway_dist, frame)
     }
 }
 
@@ -400,25 +320,24 @@ pub struct NeighborView<'a> {
     node: NodeId,
 }
 
-impl NeighborView<'_> {
-    fn row(&self) -> (&[EdgeEntry], &[NodeId]) {
-        let (lo, hi) = self.arena.row_bounds(self.node);
-        (&self.arena.entries[lo..hi], &self.arena.ids[lo..hi])
-    }
-
-    fn present(&self) -> impl Iterator<Item = (&EdgeEntry, NodeId)> {
-        let (entries, ids) = self.row();
-        entries.iter().zip(ids.iter().copied()).filter(|(e, _)| e.present)
+impl<'a> NeighborView<'a> {
+    /// The row's known neighbours with their ids, ascending.
+    fn present(&self) -> impl Iterator<Item = (&'a NeighborInfo, NodeId)> + 'a {
+        let arena = self.arena;
+        let (lo, hi) = arena.row_bounds(self.node);
+        arena.rev[lo..hi]
+            .iter()
+            .zip(&arena.ids[lo..hi])
+            .filter_map(move |(&s, &id)| Some((arena.entries[s as usize].as_ref()?, id)))
     }
 
     /// Look up a neighbour.
     pub fn get(&self, node: NodeId) -> Option<NeighborInfo> {
-        let (entries, ids) = self.row();
-        ids.binary_search(&node).ok().map(|p| &entries[p]).filter(|e| e.present).map(|e| e.info)
+        self.arena.entries[self.arena.edge_of(self.node, node)?]
     }
 
     /// All known neighbour ids, ascending.
-    pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
+    pub fn nodes(&self) -> impl Iterator<Item = NodeId> + 'a {
         self.present().map(|(_, id)| id)
     }
 
@@ -433,22 +352,23 @@ impl NeighborView<'_> {
     }
 
     /// Neighbours unheard since `frame - max_missed` (exclusive), i.e.
-    /// candidates for a dead-neighbour upcall at `frame`.
+    /// candidates for a dead-neighbour upcall at `frame`, ascending.
     pub fn stale(&self, frame: u64, max_missed: u32) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        self.arena.collect_stale(self.node, frame, max_missed, &mut out);
-        out
+        self.present()
+            .filter(|(info, _)| is_stale(info, frame, max_missed))
+            .map(|(_, id)| id)
+            .collect()
     }
 
     /// Union of all neighbours' slots and advertised occupancies — the
     /// 2-hop occupancy picture used for slot selection.
     pub fn two_hop_occupancy(&self) -> SlotSet {
         let mut s = SlotSet::EMPTY;
-        for (e, _) in self.present() {
-            if let Some(slot) = e.info.slot {
+        for (info, _) in self.present() {
+            if let Some(slot) = info.slot {
                 s.insert(slot);
             }
-            s.union_with(e.info.occupied);
+            s.union_with(info.occupied);
         }
         s
     }
@@ -462,8 +382,8 @@ impl NeighborView<'_> {
             return cached;
         }
         let mut s = SlotSet::EMPTY;
-        for (e, _) in self.present() {
-            if let Some(slot) = e.info.slot {
+        for (info, _) in self.present() {
+            if let Some(slot) = info.slot {
                 s.insert(slot);
             }
         }
@@ -478,7 +398,7 @@ impl NeighborView<'_> {
         if let Some(cached) = cache.get() {
             return cached;
         }
-        let min = self.present().map(|(e, _)| e.info.gateway_dist).min().unwrap_or(u16::MAX);
+        let min = self.present().map(|(info, _)| info.gateway_dist).min().unwrap_or(u16::MAX);
         cache.set(Some(min));
         min
     }
@@ -493,6 +413,11 @@ mod tests {
         let edges: Vec<(NodeId, NodeId)> =
             (1..n).map(|i| (NodeId(0), NodeId::from_index(i))).collect();
         Topology::from_edges(n, &edges)
+    }
+
+    #[test]
+    fn an_entry_packs_into_32_bytes() {
+        assert_eq!(std::mem::size_of::<Option<NeighborInfo>>(), 32);
     }
 
     #[test]
@@ -516,17 +441,19 @@ mod tests {
     fn heard_at_is_a_direct_indexed_store() {
         let topo = star(5);
         let mut a = NeighborArena::new(&topo);
-        // Node 0's row is [1, 2, 3, 4]; position 2 addresses NodeId(3).
-        assert!(a.heard_at(NodeId(0), 2, NodeId(3), Some(4), SlotSet::EMPTY, 2, 0));
-        assert!(!a.heard_at(NodeId(0), 2, NodeId(3), Some(4), SlotSet::EMPTY, 2, 1));
+        // Node 0 knowing NodeId(3) lives on the edge 3 → 0: leaf 3's row
+        // is [0], so the storage index is row_start(3).
+        let edge = topo.row_start(NodeId(3));
+        assert!(a.heard_at(NodeId(0), edge, Some(4), SlotSet::EMPTY, 2, 0));
+        assert!(!a.heard_at(NodeId(0), edge, Some(4), SlotSet::EMPTY, 2, 1));
         assert_eq!(a.view(NodeId(0)).get(NodeId(3)).unwrap().last_heard_frame, 1);
         assert_eq!(a.view(NodeId(0)).nodes().collect::<Vec<_>>(), vec![NodeId(3)]);
+        assert!(a.view(NodeId(3)).is_empty(), "the transmitter's own row is untouched");
     }
 
-    #[test]
-    fn rows_are_edge_aligned_with_the_topology() {
-        // Chain 0-1-2-3 plus chord 0-2: rows have distinct shapes.
-        let topo = Topology::from_edges(
+    /// Chain 0-1-2-3 plus chord 0-2: rows have distinct shapes.
+    fn chord_chain() -> Topology {
+        Topology::from_edges(
             4,
             &[
                 (NodeId(0), NodeId(1)),
@@ -534,18 +461,66 @@ mod tests {
                 (NodeId(2), NodeId(3)),
                 (NodeId(0), NodeId(2)),
             ],
-        );
+        )
+    }
+
+    #[test]
+    fn transmitter_rows_address_every_listener_entry() {
+        let topo = chord_chain();
         let mut a = NeighborArena::new(&topo);
-        for l in topo.nodes() {
-            for (p, &nb) in topo.neighbors(l).iter().enumerate() {
-                assert!(a.heard_at(l, p, nb, Some(p as u16), SlotSet::EMPTY, 7, 1));
+        // Store transmitter-major, tagging each entry with its transmitter.
+        for t in topo.nodes() {
+            for (q, &l) in topo.neighbors(t).iter().enumerate() {
+                let slot = Some(t.index() as u16);
+                assert!(a.heard_at(l, topo.row_start(t) + q, slot, SlotSet::EMPTY, 7, 1));
             }
         }
+        // Listener-major views see every neighbour, ascending, each
+        // carrying that neighbour's own tag.
         for l in topo.nodes() {
             let v = a.view(l);
             assert_eq!(v.len(), topo.degree(l));
             assert_eq!(v.nodes().collect::<Vec<_>>(), topo.neighbors(l));
+            for &t in topo.neighbors(l) {
+                assert_eq!(v.get(t).unwrap().slot, Some(t.index() as u16));
+            }
         }
+    }
+
+    #[test]
+    fn snap_restore_round_trips_every_view() {
+        let topo = chord_chain();
+        let mut a = NeighborArena::new(&topo);
+        for l in topo.nodes() {
+            for &t in topo.neighbors(l) {
+                let (li, ti) = (l.index() as u16, t.index() as u16);
+                let slot = (ti != 3).then_some(ti);
+                let occupied: SlotSet = [li + 8, ti + 16].into_iter().collect();
+                a.heard(l, t, slot, occupied, 10 * li + ti, u64::from(li + ti));
+            }
+        }
+        assert!(a.remove(NodeId(2), NodeId(1)));
+        a.reset_row(NodeId(3));
+        let mut w = SnapWriter::new();
+        a.snap(&mut w);
+        let image = w.finish();
+
+        let mut b = NeighborArena::new(&topo);
+        b.restore(&mut SnapReader::new(&image)).unwrap();
+        for l in topo.nodes() {
+            let (va, vb) = (a.view(l), b.view(l));
+            assert_eq!(vb.nodes().collect::<Vec<_>>(), va.nodes().collect::<Vec<_>>());
+            assert_eq!(vb.len(), va.len());
+            for &t in topo.neighbors(l) {
+                assert_eq!(format!("{:?}", vb.get(t)), format!("{:?}", va.get(t)), "{l} -> {t}");
+            }
+            assert_eq!(vb.one_hop_occupancy(), va.one_hop_occupancy());
+            assert_eq!(vb.two_hop_occupancy(), va.two_hop_occupancy());
+            assert_eq!(vb.min_gateway_dist(), va.min_gateway_dist());
+        }
+        let mut w = SnapWriter::new();
+        b.snap(&mut w);
+        assert_eq!(w.finish(), image, "a restored arena snaps to the same image");
     }
 
     #[test]

@@ -18,25 +18,25 @@
 //!   [`FrameScratch`] of flat vectors and [`NodeBits`] bitsets, reused
 //!   across slots;
 //! * membership tests (is transmitting? has collided?) are O(1) bit tests
-//!   rather than linear `Vec::contains` scans, and listener iteration runs
-//!   in ascending id order straight off the bitset — the sort+dedup the
-//!   old representation needed is gone;
-//! * audibility is resolved from the *listener's* side: each listener walks
-//!   its own CSR neighbour slice and probes a node→transmission index
-//!   (`tx_index`), instead of testing `has_link` against every concurrent
-//!   transmitter — the listeners × transmitters link-matrix scan that
-//!   dominated dense frames (and degenerates to a binary search per probe
-//!   above `DENSE_LINK_MAX_NODES`) is gone;
-//! * neighbour knowledge is network-owned in an **edge-aligned
-//!   [`NeighborArena`]** (`Topology::row_start(listener) + mirror_pos`),
-//!   so the listener loop's stores land sequentially in listener order on
-//!   one contiguous array instead of hopping through per-node heap vecs;
-//! * with `LmacConfig::workers > 1` the listener phase is **sharded across
-//!   precomputed 2-hop colour classes** (same-colour nodes share no
-//!   neighbour, so shards touch disjoint arena rows) on a persistent
-//!   work-stealing pool, and the per-shard output is merged back in
-//!   ascending listener order — indications, statistics and ledgers stay
-//!   bit-identical at every worker count;
+//!   rather than linear `Vec::contains` scans;
+//! * audibility is resolved from the transmitters' side: one pass over each
+//!   transmitter's CSR row tags every alive, non-transmitting neighbour in
+//!   a node→transmission index (`audible_tx`) with the one transmitter it
+//!   hears, or a collided sentinel when it hears two (join transients) —
+//!   no listeners × transmitters link-matrix scan;
+//! * neighbour knowledge is network-owned in a **transmitter-major
+//!   [`NeighborArena`]**: "`l` knows `t`" lives at the CSR edge `t → l`
+//!   (`Topology::row_start(t) + q`), so the reception pass walks each
+//!   transmitter's row a second time and streams the arena stores, the
+//!   control rx tallies and new-neighbour detection through contiguous
+//!   memory, with no per-reception position lookup;
+//! * upcalls keep ascending listener order without a listener-order loop:
+//!   the reception pass marks only listeners that have one (a new
+//!   neighbour, or a transmitter carrying data) in a bitset, and a sparse
+//!   pass over it emits `NeighborNew`/`Delivered` in id order;
+//! * the frame boundary sweeps the arena once in storage order for stale
+//!   entries and sorts the (observer, dead) pairs it finds, so
+//!   `NeighborDied` upcalls keep their ascending order;
 //! * the slot-occupancy index (`slot_owners` + the per-slot alive check)
 //!   short-circuits slots nobody owns: an empty slot advances the clock
 //!   without touching the scratch buffers at all;
@@ -45,21 +45,21 @@
 //!   as a convenience wrapper).
 //!
 //! [`LmacNetwork::advance_slot_full_scan_into`] keeps the pre-index
-//! reference semantics (scan every transmitter per listener, process empty
-//! slots) for the differential property tests; both paths must produce
-//! identical indication streams, statistics and ledgers.
+//! reference semantics (process empty slots; visit listeners in id order,
+//! each scanning every transmitter, storing by id) for the differential
+//! property tests; both paths must produce identical indication streams,
+//! statistics and ledgers.
 
 use std::collections::VecDeque;
 
 use dirq_net::{EnergyLedger, NodeBits, NodeId, Topology};
-use dirq_sim::runner::WorkerPool;
 use dirq_sim::snap::{SnapError, SnapReader, SnapWriter};
 use dirq_sim::SimRng;
 use rand::Rng;
 
 use crate::config::LmacConfig;
 use crate::indication::{Destination, MacIndication, PayloadHandle};
-use crate::neighbor::{ArenaRaw, NeighborArena, NeighborView};
+use crate::neighbor::{NeighborArena, NeighborView};
 use crate::slots::SlotSet;
 
 /// Aggregate MAC statistics for a run.
@@ -98,10 +98,14 @@ impl<P> MacNode<P> {
     }
 }
 
-/// `FrameScratch::audible_tx` sentinel: no transmitter audible yet.
-const AUDIBLE_NONE: u64 = u64::MAX;
+/// `FrameScratch::audible_tx` sentinel: no transmitter audible (or the
+/// entry was consumed).
+const AUDIBLE_NONE: u32 = u32::MAX;
 /// `FrameScratch::audible_tx` sentinel: two or more transmitters audible.
-const AUDIBLE_COLLIDED: u64 = u64::MAX - 1;
+const AUDIBLE_COLLIDED: u32 = u32::MAX - 1;
+/// `FrameScratch::audible_tx` tag on a tx index: the transmitter is new to
+/// the listener's row.
+const NEW_NEIGHBOR: u32 = 1 << 31;
 
 /// One transmission within the current slot; its data messages live in
 /// `FrameScratch::tx_data[data_start..data_end]`.
@@ -115,29 +119,24 @@ struct TxRecord {
 
 /// Persistent per-slot working state (see the module docs).
 struct FrameScratch<P> {
-    transmitters: Vec<NodeId>,
-    /// Membership mirror of `transmitters`.
+    /// This slot's alive transmitters.
     tx_mark: NodeBits,
     txs: Vec<TxRecord>,
     /// Flat storage for all data messages sent in this slot.
     tx_data: Vec<(Destination, PayloadHandle<P>)>,
-    /// Alive non-transmitting neighbours of this slot's transmitters;
-    /// iterated in ascending id order.
+    /// Fast path: listeners with an upcall this slot, plus collided
+    /// listeners (the upcall pass counts and clears them). Reference
+    /// path: every listener. Iterated in ascending id order.
     listener_mark: NodeBits,
     /// Transmitters that must surrender their slot after a collision.
     collided_mark: NodeBits,
-    /// Indices into `txs` audible at the current listener.
+    /// Reference path: indices into `txs` audible at the current listener.
     audible: Vec<u32>,
-    /// node → audibility resolution for this slot: `AUDIBLE_NONE`, a
-    /// single tx index, or `AUDIBLE_COLLIDED`. Written while marking
-    /// listeners, consumed (and reset) by the listener loop.
-    audible_tx: Vec<u64>,
-    /// node → index into `txs` for this slot (`u32::MAX` = not
-    /// transmitting). Reset by iterating `transmitters`, never by an O(n)
-    /// fill.
-    tx_index: Vec<u32>,
-    /// Stale-neighbour collection buffer for the frame boundary.
-    stale_buf: Vec<NodeId>,
+    /// node → audibility for this slot: `AUDIBLE_NONE`, a tx index
+    /// (tagged `NEW_NEIGHBOR` by the reception pass), or
+    /// `AUDIBLE_COLLIDED`. Every entry is back to `AUDIBLE_NONE` when the
+    /// slot ends, so it is never wiped with an O(n) fill.
+    audible_tx: Vec<u32>,
 }
 
 impl<P> FrameScratch<P> {
@@ -148,7 +147,6 @@ impl<P> FrameScratch<P> {
         // safe, topology-derived capacity for every per-slot list.
         let width = topo.max_degree().max(8);
         FrameScratch {
-            transmitters: Vec::with_capacity(width),
             tx_mark: NodeBits::new(n),
             txs: Vec::with_capacity(width),
             tx_data: Vec::with_capacity(width * cfg.data_messages_per_slot),
@@ -156,8 +154,6 @@ impl<P> FrameScratch<P> {
             collided_mark: NodeBits::new(n),
             audible: Vec::with_capacity(width),
             audible_tx: vec![AUDIBLE_NONE; n],
-            tx_index: vec![u32::MAX; n],
-            stale_buf: Vec::with_capacity(width),
         }
     }
 
@@ -165,7 +161,6 @@ impl<P> FrameScratch<P> {
     /// out to satisfy the borrow checker).
     fn placeholder() -> Self {
         FrameScratch {
-            transmitters: Vec::new(),
             tx_mark: NodeBits::new(0),
             txs: Vec::new(),
             tx_data: Vec::new(),
@@ -173,162 +168,7 @@ impl<P> FrameScratch<P> {
             collided_mark: NodeBits::new(0),
             audible: Vec::new(),
             audible_tx: Vec::new(),
-            tx_index: Vec::new(),
-            stale_buf: Vec::new(),
         }
-    }
-}
-
-/// Per-shard working state of the colour-class parallel listener phase.
-/// Shard `k` owns the listeners whose 2-hop colour class is congruent to
-/// `k` modulo the shard count. Any partition of the listeners would make
-/// the per-listener writes (arena row, audibility slot, rx tallies)
-/// disjoint; colour classes are the key because same-colour listeners
-/// also never hear the same transmitter, which spreads each
-/// transmitter's listener burst across shards and keeps the door open to
-/// sharding transmitter-side state later without changing the partition.
-struct ShardScratch<P> {
-    /// Indications produced by this shard, ascending by listener.
-    out: Vec<MacIndication<P>>,
-    /// Transmitters audible at a collided listener (must surrender).
-    collided_from: Vec<NodeId>,
-    /// Per-listener audible-set scratch.
-    audible: Vec<u32>,
-    /// Statistics deltas, summed into [`MacStats`] at the merge. Plain
-    /// counter additions, so shard totals equal the serial totals.
-    delivered: u64,
-    new_neighbors: u64,
-    collisions: u64,
-    /// Merge cursor into `out`.
-    cursor: usize,
-}
-
-impl<P> ShardScratch<P> {
-    fn new() -> Self {
-        ShardScratch {
-            out: Vec::new(),
-            collided_from: Vec::new(),
-            audible: Vec::with_capacity(8),
-            delivered: 0,
-            new_neighbors: 0,
-            collisions: 0,
-            cursor: 0,
-        }
-    }
-}
-
-/// The published state of one parallel listener phase: everything a shard
-/// needs, behind raw pointers where shards write disjointly (arena rows,
-/// audibility slots, per-listener ledger tallies, their own scratch) and
-/// shared borrows where they only read.
-struct ListenerPhase<'a, P> {
-    arena: ArenaRaw,
-    audible_tx: *mut u64,
-    shards: *mut ShardScratch<P>,
-    control_rx: *mut u64,
-    data_rx: *mut u64,
-    topo: &'a Topology,
-    shard_of: &'a [u32],
-    listener_mark: &'a NodeBits,
-    txs: &'a [TxRecord],
-    tx_data: &'a [(Destination, PayloadHandle<P>)],
-    tx_index: &'a [u32],
-    slot: u16,
-    frame: u64,
-}
-
-// SAFETY: shards access disjoint state — shard `k` touches only its own
-// `ShardScratch` and the arena rows / `audible_tx` slots / rx tallies of
-// its own listeners, and every write is indexed by the listener, which
-// belongs to exactly one shard (the colour classes partition the nodes).
-unsafe impl<P: Send + Sync> Sync for ListenerPhase<'_, P> {}
-
-impl<P: Send + Sync> ListenerPhase<'_, P> {
-    /// Process shard `k`: resolve audibility, update the listeners' arena
-    /// rows, record receptions in the (listener-indexed, hence disjoint)
-    /// ledger tallies and collect this shard's indications. Mirrors the
-    /// serial listener loop exactly; only the ordered indication stream is
-    /// left for the merge.
-    ///
-    /// # Safety
-    /// `k` must be a valid shard index, and each shard must be executed by exactly one
-    /// thread per slot (the pool guarantees exactly-once item execution).
-    unsafe fn run_shard(&self, k: usize) {
-        let shard = &mut *self.shards.add(k);
-        shard.out.clear();
-        shard.collided_from.clear();
-        shard.delivered = 0;
-        shard.new_neighbors = 0;
-        shard.collisions = 0;
-        shard.cursor = 0;
-        let s = self.slot;
-        for l in self.listener_mark.iter() {
-            if self.shard_of[l.index()] != k as u32 {
-                continue;
-            }
-            let resolved = std::mem::replace(&mut *self.audible_tx.add(l.index()), AUDIBLE_NONE);
-            let audible = &mut shard.audible;
-            audible.clear();
-            if resolved == AUDIBLE_COLLIDED {
-                // Rare join transient: recover the full audible set from
-                // the listener's CSR row (links are symmetric).
-                for &nb in self.topo.neighbors(l) {
-                    let ti = self.tx_index[nb.index()];
-                    if ti != u32::MAX {
-                        audible.push(ti);
-                    }
-                }
-            } else {
-                audible.push((resolved >> 32) as u32);
-            }
-            if audible.len() > 1 {
-                shard.collisions += 1;
-                for &i in audible.iter() {
-                    shard.collided_from.push(self.txs[i as usize].from);
-                }
-                continue;
-            }
-            let tx = &self.txs[audible[0] as usize];
-            *self.control_rx.add(l.index()) += 1;
-            let is_new = if resolved == AUDIBLE_COLLIDED {
-                self.arena.heard(l, tx.from, Some(s), tx.occupied, tx.gateway_dist, self.frame)
-            } else {
-                self.arena.heard_at(
-                    l,
-                    (resolved & 0xFFFF_FFFF) as usize,
-                    tx.from,
-                    Some(s),
-                    tx.occupied,
-                    tx.gateway_dist,
-                    self.frame,
-                )
-            };
-            if is_new {
-                shard.new_neighbors += 1;
-                shard.out.push(MacIndication::NeighborNew { observer: l, new: tx.from });
-            }
-            for (dest, payload) in &self.tx_data[tx.data_start as usize..tx.data_end as usize] {
-                if dest.includes(l) {
-                    *self.data_rx.add(l.index()) += 1;
-                    shard.delivered += 1;
-                    shard.out.push(MacIndication::Delivered {
-                        to: l,
-                        from: tx.from,
-                        payload: payload.clone(),
-                    });
-                }
-            }
-        }
-    }
-}
-
-/// The listener an indication belongs to, for the merge's k-way walk.
-fn indication_listener<P>(ind: &MacIndication<P>) -> NodeId {
-    match ind {
-        MacIndication::Delivered { to, .. } => *to,
-        MacIndication::NeighborNew { observer, .. } => *observer,
-        // Shards only emit the two variants above.
-        _ => unreachable!("unexpected indication variant in a listener shard"),
     }
 }
 
@@ -339,8 +179,8 @@ pub struct LmacNetwork<P> {
     cfg: LmacConfig,
     topo: Topology,
     nodes: Vec<MacNode<P>>,
-    /// Network-owned neighbour knowledge, edge-aligned to `topo`'s CSR
-    /// rows (`Topology::row_start(listener) + mirror_pos`).
+    /// Network-owned neighbour knowledge, stored at `topo`'s CSR edges
+    /// transmitter-major (see [`NeighborArena`]).
     arena: NeighborArena,
     /// slot → owners (normally ≤1 per 2-hop area; >1 during joins).
     slot_owners: Vec<Vec<NodeId>>,
@@ -358,24 +198,6 @@ pub struct LmacNetwork<P> {
     /// liveness per neighbour per slot, and a bit probe beats pulling a
     /// whole `MacNode` cache line.
     alive_mask: NodeBits,
-    /// Edge-aligned mirror positions: for the CSR edge slot holding
-    /// `neighbors(u)[p] == v`, the value is `v`'s row position of `u` —
-    /// i.e. where `u` sits in `v`'s (row-aligned) arena row. Lets the
-    /// reception loop update the listener's row with a direct indexed
-    /// store instead of a per-event search.
-    mirror_pos: Vec<u32>,
-    /// Shard per node: the precomputed 2-hop colour class reduced modulo
-    /// the worker count — the sharding key of the parallel listener
-    /// phase. Computed once per topology epoch; empty when
-    /// `cfg.workers == 1`.
-    shard_of: Vec<u32>,
-    /// Persistent work-stealing pool (`None` when `cfg.workers == 1`).
-    pool: Option<WorkerPool>,
-    /// Per-shard output buffers for the parallel listener phase.
-    shards: Vec<ShardScratch<P>>,
-    /// Run the sharded listener phase even when the pool has no runnable
-    /// helper (test hook; results are identical either way).
-    force_sharded: bool,
 }
 
 impl<P> LmacNetwork<P> {
@@ -394,38 +216,6 @@ impl<P> LmacNetwork<P> {
         for i in 0..n {
             alive_mask.insert(NodeId::from_index(i));
         }
-        // Edge-aligned mirror positions (see the field docs). Rows are
-        // ascending, so the reverse position comes from one binary search
-        // per directed edge, once.
-        let mut mirror_pos =
-            vec![
-                0u32;
-                topo.row_start(NodeId::from_index(n.saturating_sub(1)))
-                    + topo.neighbors(NodeId::from_index(n.saturating_sub(1))).len()
-            ];
-        for i in 0..n {
-            let u = NodeId::from_index(i);
-            let base = topo.row_start(u);
-            for (p, &v) in topo.neighbors(u).iter().enumerate() {
-                let back = topo.neighbors(v).binary_search(&u).expect("undirected edge");
-                mirror_pos[base + p] = back as u32;
-            }
-        }
-        // Colour-class parallelism: the colouring and the worker pool are
-        // set up once per topology epoch, and only when asked for.
-        let (shard_of, pool, shards) = if cfg.workers > 1 {
-            let mut coloring = topo.two_hop_coloring();
-            for c in &mut coloring {
-                *c %= cfg.workers as u32;
-            }
-            (
-                coloring,
-                Some(WorkerPool::new(cfg.workers)),
-                (0..cfg.workers).map(|_| ShardScratch::new()).collect(),
-            )
-        } else {
-            (Vec::new(), None, Vec::new())
-        };
         LmacNetwork {
             slot_owners: vec![Vec::new(); cfg.slots_per_frame as usize],
             data_ledger: EnergyLedger::new(n),
@@ -433,11 +223,6 @@ impl<P> LmacNetwork<P> {
             scratch: FrameScratch::new(&topo, &cfg),
             arena: NeighborArena::new(&topo),
             alive_mask,
-            mirror_pos,
-            shard_of,
-            pool,
-            shards,
-            force_sharded: false,
             unslotted_alive: n,
             cfg,
             topo,
@@ -522,17 +307,6 @@ impl<P> LmacNetwork<P> {
     /// The radio graph.
     pub fn topology(&self) -> &Topology {
         &self.topo
-    }
-
-    /// Force the colour-class sharded listener phase even when the worker
-    /// pool was clamped to a single runnable thread (e.g. a 1-core CI
-    /// host). Results are bit-identical either way; the differential
-    /// suites call this so the sharded path is exercised on any machine.
-    /// Requires `workers > 1` in the configuration.
-    #[doc(hidden)]
-    pub fn force_sharded_listeners(&mut self) {
-        assert!(self.cfg.workers > 1, "sharding requires workers > 1");
-        self.force_sharded = true;
     }
 
     /// Configuration in use.
@@ -793,10 +567,8 @@ impl<P> LmacNetwork<P> {
     }
 }
 
-/// The slot machinery. `P: Send + Sync` because the colour-class sharded
-/// listener phase may hand payload handles to pool workers; construction,
-/// configuration and queueing above stay available for any payload.
-impl<P: Send + Sync> LmacNetwork<P> {
+/// The slot machinery.
+impl<P> LmacNetwork<P> {
     /// Advance one slot, returning the upcalls generated in it.
     ///
     /// Convenience wrapper over [`LmacNetwork::advance_slot_into`]; hot
@@ -814,9 +586,10 @@ impl<P: Send + Sync> LmacNetwork<P> {
     }
 
     /// Reference implementation of one slot with the occupancy-index and
-    /// listener-side audibility shortcuts disabled: every slot is processed
-    /// and every listener scans the full per-slot transmitter list through
-    /// `Topology::has_link`, exactly as the pre-index loop did. Kept for
+    /// transmitter-major reception shortcuts disabled: every slot is
+    /// processed and every listener, in ascending id order, scans the full
+    /// per-slot transmitter list through `Topology::has_link` and stores by
+    /// id, exactly as the pre-index loop did. Kept for
     /// the differential property tests — indications, statistics and
     /// ledgers must match [`LmacNetwork::advance_slot_into`] bit for bit.
     pub fn advance_slot_full_scan_into(
@@ -850,7 +623,7 @@ impl<P: Send + Sync> LmacNetwork<P> {
         if self.slot == self.cfg.slots_per_frame {
             self.slot = 0;
             self.frame += 1;
-            self.frame_boundary(rng, out);
+            self.frame_boundary(rng, out, full_scan);
         }
     }
 
@@ -870,7 +643,6 @@ impl<P: Send + Sync> LmacNetwork<P> {
         let mut scratch = std::mem::replace(&mut self.scratch, FrameScratch::placeholder());
         {
             let FrameScratch {
-                transmitters,
                 tx_mark,
                 txs,
                 tx_data,
@@ -878,29 +650,22 @@ impl<P: Send + Sync> LmacNetwork<P> {
                 collided_mark,
                 audible,
                 audible_tx,
-                tx_index,
-                stale_buf: _,
             } = &mut scratch;
 
-            transmitters.clear();
             tx_mark.clear();
             txs.clear();
             tx_data.clear();
             listener_mark.clear();
             collided_mark.clear();
 
-            for &t in &self.slot_owners[s as usize] {
-                if self.alive_mask.contains(t) {
-                    tx_index[t.index()] = transmitters.len() as u32;
-                    transmitters.push(t);
-                    tx_mark.insert(t);
-                }
-            }
-
             // --- Transmission phase --------------------------------------------
-            // Each transmitter sends one control section plus up to
+            // Each alive owner sends one control section plus up to
             // `data_messages_per_slot` queued data messages.
-            for &t in transmitters.iter() {
+            for &t in &self.slot_owners[s as usize] {
+                if !self.alive_mask.contains(t) {
+                    continue;
+                }
+                tx_mark.insert(t);
                 let gw = self.gateway_distance(t);
                 let occupied = self.arena.view(t).one_hop_occupancy();
                 let node = &mut self.nodes[t.index()];
@@ -921,104 +686,26 @@ impl<P: Send + Sync> LmacNetwork<P> {
 
             // --- Reception phase -----------------------------------------------
             // Listeners are the alive neighbours of transmitters (half-duplex:
-            // a transmitter cannot listen in its own slot). The bitset yields
-            // them deduplicated in ascending id order. The same pass resolves
-            // audibility: with a converged 2-hop schedule each listener hears
-            // exactly one transmitter, so a single node→tx slot suffices and
-            // the collided sentinel flags the (rare) join transients.
-            for (ti, tx) in txs.iter().enumerate() {
-                let base = self.topo.row_start(tx.from);
-                for (p, &nb) in self.topo.neighbors(tx.from).iter().enumerate() {
-                    if self.alive_mask.contains(nb) && !tx_mark.contains(nb) {
-                        listener_mark.insert(nb);
-                        let slot_entry = &mut audible_tx[nb.index()];
-                        // Pack (tx index, the transmitter's position in the
-                        // listener's row) for the delivery hot path.
-                        *slot_entry = if *slot_entry == AUDIBLE_NONE {
-                            ((ti as u64) << 32) | u64::from(self.mirror_pos[base + p])
-                        } else {
-                            AUDIBLE_COLLIDED
-                        };
-                    }
-                }
-            }
-
-            // The sharded path helps only when the pool really has more
-            // than one runnable worker (helpers are clamped to the
-            // hardware); both paths are bit-identical, so this is purely a
-            // speed decision. `force_sharded` lets the differential suites
-            // cover the sharded path on any host.
-            let sharded = !full_scan
-                && (self.force_sharded || self.pool.as_ref().is_some_and(|p| p.workers() > 1));
-            if sharded {
-                // --- Colour-class parallel listener phase ------------------
-                // Shard the listener loop across the precomputed 2-hop
-                // colour classes: shards touch disjoint arena rows,
-                // audibility slots and rx tallies, statistics merge as
-                // plain sums, and the sparse indication streams are merged
-                // back in ascending listener order — bit-identical to the
-                // serial loop below at any worker count.
-                let nshards = self.shards.len();
-                let phase = ListenerPhase {
-                    arena: self.arena.raw(),
-                    audible_tx: audible_tx.as_mut_ptr(),
-                    shards: self.shards.as_mut_ptr(),
-                    control_rx: self.control_ledger.rx_tallies_mut().as_mut_ptr(),
-                    data_rx: self.data_ledger.rx_tallies_mut().as_mut_ptr(),
-                    topo: &self.topo,
-                    shard_of: &self.shard_of,
-                    listener_mark,
-                    txs,
-                    tx_data,
-                    tx_index,
-                    slot: s,
-                    frame: self.frame,
-                };
-                let pool = self.pool.as_mut().expect("sharded path requires the pool");
-                // SAFETY: shard `k` is executed exactly once and shards
-                // touch disjoint state (see `ListenerPhase`).
-                pool.run(nshards, &|k| unsafe { phase.run_shard(k) });
-
-                // Deterministic merge. Statistics: sum the shard deltas in
-                // shard order. Indications: a k-way merge by listener id —
-                // every listener lives in exactly one shard and each
-                // shard's stream is ascending, so the result reproduces
-                // the serial loop's ascending interleaving exactly.
-                for sh in &mut self.shards {
-                    self.stats.collisions += sh.collisions;
-                    self.stats.delivered += sh.delivered;
-                    self.stats.new_neighbors_detected += sh.new_neighbors;
-                    for &t in &sh.collided_from {
-                        collided_mark.insert(t);
-                    }
-                }
-                loop {
-                    let mut best: Option<(NodeId, usize)> = None;
-                    for k in 0..nshards {
-                        let sh = &self.shards[k];
-                        if sh.cursor < sh.out.len() {
-                            let l = indication_listener(&sh.out[sh.cursor]);
-                            if best.is_none_or(|(b, _)| l < b) {
-                                best = Some((l, k));
-                            }
-                        }
-                    }
-                    let Some((_, k)) = best else { break };
-                    let sh = &mut self.shards[k];
-                    // A refcount bump, not a payload copy (manual Clone).
-                    out.push(sh.out[sh.cursor].clone());
-                    sh.cursor += 1;
-                }
-            } else {
-                self.serial_listener_loop(
+            // a transmitter cannot listen in its own slot).
+            if full_scan {
+                self.reference_listener_loop(
                     s,
                     out,
-                    full_scan,
+                    tx_mark,
                     listener_mark,
                     collided_mark,
                     audible,
+                    txs,
+                    tx_data,
+                );
+            } else {
+                self.receive(
+                    s,
+                    out,
+                    tx_mark,
+                    listener_mark,
+                    collided_mark,
                     audible_tx,
-                    tx_index,
                     txs,
                     tx_data,
                 );
@@ -1061,57 +748,129 @@ impl<P: Send + Sync> LmacNetwork<P> {
             }
 
             // Sent payload handles drop here; a handle survives only inside
-            // the indications that reference it. The tx_index entries are
-            // reset transmitter-by-transmitter, keeping the wipe O(|txs|).
+            // the indications that reference it.
             tx_data.clear();
-            for &t in transmitters.iter() {
-                tx_index[t.index()] = u32::MAX;
-            }
         }
         self.scratch = scratch;
     }
 
-    /// The serial listener phase: reception, arena-row updates, collision
-    /// detection, statistics and ledgers for every marked listener, in
-    /// ascending id order straight off the bitset. The parallel path must
-    /// reproduce this loop's output bit for bit; `advance_slot_full_scan_into`
-    /// flows through here with `full_scan` set.
+    /// Transmitter-major reception: resolve audibility, then stream each
+    /// transmission's arena stores along its CSR row, then emit the upcalls
+    /// in ascending listener order (see the module docs). Reproduces
+    /// [`LmacNetwork::reference_listener_loop`] bit for bit.
     #[allow(clippy::too_many_arguments)]
-    fn serial_listener_loop(
+    fn receive(
         &mut self,
         s: u16,
         out: &mut Vec<MacIndication<P>>,
-        full_scan: bool,
-        listener_mark: &NodeBits,
+        tx_mark: &NodeBits,
+        listener_mark: &mut NodeBits,
         collided_mark: &mut NodeBits,
-        audible: &mut Vec<u32>,
-        audible_tx: &mut [u64],
-        tx_index: &[u32],
+        audible_tx: &mut [u32],
         txs: &[TxRecord],
         tx_data: &[(Destination, PayloadHandle<P>)],
     ) {
+        // Audibility. With a converged 2-hop schedule each listener hears
+        // exactly one transmitter; the collided sentinel flags the (rare)
+        // join transients, whose listeners go straight into the upcall set
+        // so the upcall pass counts and clears them.
+        for (ti, tx) in txs.iter().enumerate() {
+            for &l in self.topo.neighbors(tx.from) {
+                if self.alive_mask.contains(l) && !tx_mark.contains(l) {
+                    let a = &mut audible_tx[l.index()];
+                    if *a == AUDIBLE_NONE {
+                        *a = ti as u32;
+                    } else if *a != AUDIBLE_COLLIDED {
+                        *a = AUDIBLE_COLLIDED;
+                        listener_mark.insert(l);
+                    }
+                }
+            }
+        }
+
+        // Reception, transmitter-major: the entry "`l` knows `t`" sits at
+        // edge `row_start(t) + q`, so one transmission's stores walk one
+        // contiguous run of the arena. Non-listeners read `AUDIBLE_NONE`.
+        for (ti, tx) in txs.iter().enumerate() {
+            let base = self.topo.row_start(tx.from);
+            let has_data = tx.data_start < tx.data_end;
+            for (q, &l) in self.topo.neighbors(tx.from).iter().enumerate() {
+                let a = &mut audible_tx[l.index()];
+                match *a {
+                    AUDIBLE_NONE => continue,
+                    AUDIBLE_COLLIDED => {
+                        // `l` hears garbage; every audible transmitter
+                        // must surrender its slot.
+                        collided_mark.insert(tx.from);
+                        continue;
+                    }
+                    _ => debug_assert_eq!(*a, ti as u32),
+                }
+                self.control_ledger.record_rx(l);
+                let is_new = self.arena.heard_at(
+                    l,
+                    base + q,
+                    Some(s),
+                    tx.occupied,
+                    tx.gateway_dist,
+                    self.frame,
+                );
+                if is_new || has_data {
+                    if is_new {
+                        *a |= NEW_NEIGHBOR;
+                    }
+                    listener_mark.insert(l);
+                } else {
+                    *a = AUDIBLE_NONE;
+                }
+            }
+        }
+
+        // Upcalls, sparse and in ascending listener order.
         for l in listener_mark.iter() {
-            let resolved = std::mem::replace(&mut audible_tx[l.index()], AUDIBLE_NONE);
+            let a = std::mem::replace(&mut audible_tx[l.index()], AUDIBLE_NONE);
+            if a == AUDIBLE_COLLIDED {
+                self.stats.collisions += 1;
+                continue;
+            }
+            let tx = &txs[(a & !NEW_NEIGHBOR) as usize];
+            if a & NEW_NEIGHBOR != 0 {
+                self.stats.new_neighbors_detected += 1;
+                out.push(MacIndication::NeighborNew { observer: l, new: tx.from });
+            }
+            self.deliver(l, tx, tx_data, out);
+        }
+    }
+
+    /// The reference listener phase behind
+    /// [`LmacNetwork::advance_slot_full_scan_into`]: mark the listeners,
+    /// then visit them in ascending id order, each probing the link matrix
+    /// against every transmitter and updating its arena row by id.
+    #[allow(clippy::too_many_arguments)]
+    fn reference_listener_loop(
+        &mut self,
+        s: u16,
+        out: &mut Vec<MacIndication<P>>,
+        tx_mark: &NodeBits,
+        listener_mark: &mut NodeBits,
+        collided_mark: &mut NodeBits,
+        audible: &mut Vec<u32>,
+        txs: &[TxRecord],
+        tx_data: &[(Destination, PayloadHandle<P>)],
+    ) {
+        for tx in txs {
+            for &nb in self.topo.neighbors(tx.from) {
+                if self.alive_mask.contains(nb) && !tx_mark.contains(nb) {
+                    listener_mark.insert(nb);
+                }
+            }
+        }
+        for l in listener_mark.iter() {
             audible.clear();
-            if full_scan {
-                // Reference path: probe the link matrix per transmitter.
-                for (i, tx) in txs.iter().enumerate() {
-                    if self.topo.has_link(tx.from, l) {
-                        audible.push(i as u32);
-                    }
+            for (i, tx) in txs.iter().enumerate() {
+                if self.topo.has_link(tx.from, l) {
+                    audible.push(i as u32);
                 }
-            } else if resolved == AUDIBLE_COLLIDED {
-                // Rare join transient: recover the full audible set by
-                // walking the listener's CSR row against the per-slot
-                // transmitter index (links are symmetric).
-                for &nb in self.topo.neighbors(l) {
-                    let ti = tx_index[nb.index()];
-                    if ti != u32::MAX {
-                        audible.push(ti);
-                    }
-                }
-            } else {
-                audible.push((resolved >> 32) as u32);
             }
             if audible.len() > 1 {
                 // Collision: l hears garbage and will advertise it; every
@@ -1124,34 +883,32 @@ impl<P: Send + Sync> LmacNetwork<P> {
             }
             let tx = &txs[audible[0] as usize];
             self.control_ledger.record_rx(l);
-            let is_new = if full_scan || resolved == AUDIBLE_COLLIDED {
-                // Cold paths resolve by id, as the pre-index loop did.
-                self.arena.heard(l, tx.from, Some(s), tx.occupied, tx.gateway_dist, self.frame)
-            } else {
-                self.arena.heard_at(
-                    l,
-                    (resolved & 0xFFFF_FFFF) as usize,
-                    tx.from,
-                    Some(s),
-                    tx.occupied,
-                    tx.gateway_dist,
-                    self.frame,
-                )
-            };
-            if is_new {
+            if self.arena.heard(l, tx.from, Some(s), tx.occupied, tx.gateway_dist, self.frame) {
                 self.stats.new_neighbors_detected += 1;
                 out.push(MacIndication::NeighborNew { observer: l, new: tx.from });
             }
-            for (dest, payload) in &tx_data[tx.data_start as usize..tx.data_end as usize] {
-                if dest.includes(l) {
-                    self.data_ledger.record_rx(l);
-                    self.stats.delivered += 1;
-                    out.push(MacIndication::Delivered {
-                        to: l,
-                        from: tx.from,
-                        payload: payload.clone(),
-                    });
-                }
+            self.deliver(l, tx, tx_data, out);
+        }
+    }
+
+    /// Hand `l` every data message of `tx` addressed to it.
+    fn deliver(
+        &mut self,
+        l: NodeId,
+        tx: &TxRecord,
+        tx_data: &[(Destination, PayloadHandle<P>)],
+        out: &mut Vec<MacIndication<P>>,
+    ) {
+        for (dest, payload) in &tx_data[tx.data_start as usize..tx.data_end as usize] {
+            if dest.includes(l) {
+                self.data_ledger.record_rx(l);
+                self.stats.delivered += 1;
+                // A refcount bump, not a payload copy.
+                out.push(MacIndication::Delivered {
+                    to: l,
+                    from: tx.from,
+                    payload: payload.clone(),
+                });
             }
         }
     }
@@ -1166,29 +923,34 @@ impl<P: Send + Sync> LmacNetwork<P> {
         out
     }
 
-    fn frame_boundary(&mut self, rng: &mut SimRng, out: &mut Vec<MacIndication<P>>) {
-        // Liveness: stale neighbours are declared dead (cross-layer upcall).
-        let mut stale_buf = std::mem::take(&mut self.scratch.stale_buf);
-        for i in 0..self.nodes.len() {
-            let observer = NodeId::from_index(i);
-            if !self.nodes[i].alive {
-                continue;
+    fn frame_boundary(
+        &mut self,
+        rng: &mut SimRng,
+        out: &mut Vec<MacIndication<P>>,
+        full_scan: bool,
+    ) {
+        // Liveness: stale neighbours are declared dead (cross-layer upcall),
+        // in ascending (observer, dead) order. The fast path sweeps the
+        // arena once in storage order and sorts what it finds (empty in
+        // steady state, so no allocation); the reference asks each alive
+        // observer's view in turn.
+        let (frame, max_missed) = (self.frame, self.cfg.max_missed_frames);
+        let mut stale = Vec::new();
+        if full_scan {
+            for observer in self.alive_mask.iter() {
+                let dead = self.arena.view(observer).stale(frame, max_missed);
+                stale.extend(dead.into_iter().map(|d| (observer, d)));
             }
-            stale_buf.clear();
-            self.arena.collect_stale(
-                observer,
-                self.frame,
-                self.cfg.max_missed_frames,
-                &mut stale_buf,
-            );
-            for &dead in &stale_buf {
-                self.arena.remove(observer, dead);
-                self.stats.deaths_detected += 1;
-                out.push(MacIndication::NeighborDied { observer, dead });
-            }
+        } else {
+            self.arena.collect_stale_edges(frame, max_missed, &mut stale);
+            stale.retain(|&(observer, _)| self.alive_mask.contains(observer));
+            stale.sort_unstable();
         }
-        stale_buf.clear();
-        self.scratch.stale_buf = stale_buf;
+        for (observer, dead) in stale {
+            self.arena.remove(observer, dead);
+            self.stats.deaths_detected += 1;
+            out.push(MacIndication::NeighborDied { observer, dead });
+        }
 
         // Slot selection for joining nodes (skipped outright when every
         // alive node is placed — the steady state).
@@ -1426,6 +1188,62 @@ mod tests {
     }
 
     #[test]
+    fn same_frame_deaths_come_out_in_observer_order() {
+        let mut rng = RngFactory::new(12).stream("co-death");
+        // Observers 0 and 1 both hear 2 and 3, and 4 hears 3: the arena
+        // stores these entries grouped by the silent neighbour, the
+        // upcalls must come out grouped by observer.
+        let edges = [(0, 2), (0, 3), (1, 2), (1, 3), (3, 4)];
+        let edges: Vec<_> = edges.iter().map(|&(a, b)| (NodeId(a), NodeId(b))).collect();
+        let cfg = LmacConfig { max_missed_frames: 2, ..Default::default() };
+        let mut net = Net::new(cfg, Topology::from_edges(5, &edges));
+        net.assign_slots_greedy();
+        for _ in 0..3 {
+            net.advance_frame(&mut rng);
+        }
+        net.set_alive(NodeId(2), false);
+        net.set_alive(NodeId(3), false);
+        for _ in 0..6 {
+            // The boundary closing this frame runs at `current_frame + 1`;
+            // only the dead are silent, so the views predict it exactly.
+            let boundary = net.current_frame() + 1;
+            let expected: Vec<(NodeId, NodeId)> = (0..5)
+                .map(NodeId)
+                .filter(|&o| net.is_alive(o))
+                .flat_map(|o| {
+                    net.neighbor_table(o).stale(boundary, 2).into_iter().map(move |d| (o, d))
+                })
+                .collect();
+            let died: Vec<(NodeId, NodeId)> = net
+                .advance_frame(&mut rng)
+                .into_iter()
+                .filter_map(|i| match i {
+                    MacIndication::NeighborDied { observer, dead } => Some((observer, dead)),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(died, expected, "upcalls must match the stale views");
+            if !died.is_empty() {
+                let want = [(0, 2), (0, 3), (1, 2), (1, 3), (4, 3)];
+                let want: Vec<_> = want.iter().map(|&(o, d)| (NodeId(o), NodeId(d))).collect();
+                assert_eq!(died, want);
+                assert_eq!(net.stats().deaths_detected, 5);
+                return;
+            }
+        }
+        panic!("the deaths were never detected");
+    }
+
+    #[test]
+    fn empty_network_advances() {
+        let mut rng = RngFactory::new(13).stream("empty");
+        let mut net = Net::new(LmacConfig::default(), Topology::from_edges(0, &[]));
+        assert!(net.advance_frame(&mut rng).is_empty());
+        assert_eq!(net.current_frame(), 1);
+        assert!(net.all_converged());
+    }
+
+    #[test]
     fn born_node_joins_and_is_announced() {
         let mut rng = RngFactory::new(7).stream("birth");
         let mut net = Net::new(LmacConfig::default(), line_topo(3));
@@ -1610,20 +1428,13 @@ mod tests {
 
     #[test]
     fn worker_count_never_changes_the_indication_stream() {
-        // The colour-class parallel listener phase must be bit-identical
-        // to the serial loop: same indications in the same order, same
-        // statistics, same ledgers — across joins, traffic and churn.
+        // `LmacConfig::workers` no longer shapes the MAC: same indications
+        // in the same order, same statistics, same ledgers at any setting
+        // — across joins, traffic and churn.
         let topo = random_topo(40, 33);
         let mut nets: Vec<Net> = [1usize, 2, 4]
             .iter()
-            .map(|&w| {
-                let mut net =
-                    Net::new(LmacConfig { workers: w, ..LmacConfig::default() }, topo.clone());
-                if w > 1 {
-                    net.force_sharded_listeners();
-                }
-                net
-            })
+            .map(|&w| Net::new(LmacConfig { workers: w, ..LmacConfig::default() }, topo.clone()))
             .collect();
         let mut rngs: Vec<_> =
             (0..nets.len()).map(|_| RngFactory::new(33).stream("workers")).collect();

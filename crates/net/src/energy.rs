@@ -40,14 +40,6 @@ impl EnergyLedger {
         self.rx[node.index()] += 1;
     }
 
-    /// Raw per-node reception tallies, indexed by node. Exists for
-    /// row-disjoint parallel recording (the MAC's colour-class listener
-    /// shards): workers touching disjoint nodes may increment their slots
-    /// concurrently without synchronisation.
-    pub fn rx_tallies_mut(&mut self) -> &mut [u64] {
-        &mut self.rx
-    }
-
     /// Transmissions by `node`.
     pub fn tx_count(&self, node: NodeId) -> u64 {
         self.tx[node.index()]

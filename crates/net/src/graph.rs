@@ -234,7 +234,7 @@ impl Topology {
 
     /// Start of `node`'s row in the global CSR target array: edge slot
     /// `row_start(u) + p` holds `neighbors(u)[p]`. Lets callers keep
-    /// edge-aligned side tables (e.g. the MAC's mirror-position index).
+    /// edge-aligned side tables (e.g. the MAC's neighbour arena).
     #[inline]
     pub fn row_start(&self, node: NodeId) -> usize {
         self.offsets[node.index()] as usize
@@ -295,45 +295,6 @@ impl Topology {
             return true;
         }
         self.reachable_from(NodeId::ROOT, |_| true).iter().all(|&r| r)
-    }
-
-    /// Greedy 2-hop colouring: assigns every node the smallest colour not
-    /// used by any node within two hops (ascending node order, so the
-    /// result is deterministic for a given graph). Two nodes sharing a
-    /// colour therefore have **disjoint closed neighbourhoods** — they are
-    /// at least three hops apart and no third node hears both.
-    ///
-    /// This is the interference structure LMAC's slot schedule converges
-    /// to; the MAC computes it once per topology epoch and shards its
-    /// parallel listener phase across the colour classes.
-    pub fn two_hop_coloring(&self) -> Vec<u32> {
-        let n = self.len();
-        let mut color = vec![0u32; n];
-        // `stamp[c] == u` marks colour c as forbidden for node u; stamps
-        // avoid clearing a bitmap per node.
-        let mut stamp: Vec<u32> = Vec::new();
-        for i in 0..n {
-            let u = NodeId::from_index(i);
-            let mark = |stamp: &mut Vec<u32>, c: u32| {
-                let c = c as usize;
-                if c >= stamp.len() {
-                    stamp.resize(c + 1, u32::MAX);
-                }
-                stamp[c] = i as u32;
-            };
-            for &v in self.neighbors(u) {
-                if v.index() < i {
-                    mark(&mut stamp, color[v.index()]);
-                }
-                for &w in self.neighbors(v) {
-                    if w.index() < i {
-                        mark(&mut stamp, color[w.index()]);
-                    }
-                }
-            }
-            color[i] = (0..).find(|&c| stamp.get(c as usize).copied() != Some(i as u32)).unwrap();
-        }
-        color
     }
 
     /// BFS hop distance from `start` to every node (`u32::MAX` where
@@ -596,57 +557,6 @@ mod tests {
         // are never worse than radio-only distances from the root.
         let multi = t.hop_distances(NodeId::ROOT, |_| true);
         assert!(multi.iter().all(|&d| d != u32::MAX));
-    }
-
-    #[test]
-    fn two_hop_coloring_is_proper_and_deterministic() {
-        let t = Topology::deploy_connected(
-            60,
-            &Placement::UniformRandom { side: 100.0 },
-            SinkPlacement::Corner,
-            &UnitDisk::new(30.0),
-            &mut RngFactory::new(5).stream("color"),
-            100,
-        )
-        .unwrap();
-        let color = t.two_hop_coloring();
-        assert_eq!(color, t.two_hop_coloring(), "colouring must be deterministic");
-        for a in t.nodes() {
-            for &b in t.neighbors(a) {
-                assert_ne!(color[a.index()], color[b.index()], "1-hop clash {a}-{b}");
-                for &c in t.neighbors(b) {
-                    if c != a {
-                        assert_ne!(color[a.index()], color[c.index()], "2-hop clash {a}-{c}");
-                    }
-                }
-            }
-        }
-        // Greedy colour count is bounded by the densest 2-hop
-        // neighbourhood plus one.
-        let max_two_hop = t
-            .nodes()
-            .map(|u| {
-                let mut seen = std::collections::HashSet::new();
-                for &v in t.neighbors(u) {
-                    seen.insert(v);
-                    seen.extend(t.neighbors(v).iter().copied());
-                }
-                seen.remove(&u);
-                seen.len()
-            })
-            .max()
-            .unwrap();
-        let colors = color.iter().max().unwrap() + 1;
-        assert!(colors as usize <= max_two_hop + 1, "{colors} colours for {max_two_hop} 2-hop");
-    }
-
-    #[test]
-    fn two_hop_coloring_of_a_line_cycles_three_colors() {
-        let t = line(7);
-        assert_eq!(t.two_hop_coloring(), vec![0, 1, 2, 0, 1, 2, 0]);
-        // Isolated nodes all take colour 0.
-        let empty = Topology::from_edges(3, &[]);
-        assert_eq!(empty.two_hop_coloring(), vec![0, 0, 0]);
     }
 
     #[test]

@@ -23,11 +23,6 @@ pub struct SweepConfig {
     pub replicates: usize,
     /// Multiplier on every spec's epoch budget (quick runs / CI smoke).
     pub epoch_scale: f64,
-    /// Intra-run MAC workers ([`dirq_lmac::LmacConfig::workers`]): the
-    /// colour-class parallel slot loop inside each simulation. Like
-    /// `threads`, never affects results — the parallel frame is
-    /// bit-identical, and the CI smoke gate enforces it.
-    pub mac_workers: usize,
     /// Intra-run world-generation workers
     /// ([`dirq_core::ScenarioConfig::world_workers`]): the split-stream
     /// parallel world advance inside each simulation. Never affects
@@ -54,7 +49,6 @@ impl Default for SweepConfig {
             threads: 0,
             replicates: 1,
             epoch_scale: 1.0,
-            mac_workers: 1,
             world_workers: 1,
             dispatch_workers: 1,
             upkeep_workers: 1,
@@ -83,7 +77,6 @@ pub fn run_matrix_report(specs: &[ScenarioSpec], cfg: &SweepConfig) -> ScenarioR
         let scheme = spec.schemes[ki];
         let seed = replicate_seed(spec.seed, rep);
         let mut run_cfg = spec.config(scheme, seed);
-        run_cfg.lmac.workers = cfg.mac_workers.max(1);
         run_cfg.world_workers = cfg.world_workers.max(1);
         run_cfg.dispatch_workers = cfg.dispatch_workers.max(1);
         run_cfg.upkeep_workers = cfg.upkeep_workers.max(1);
@@ -142,17 +135,6 @@ mod tests {
             assert_ne!(row.replicates[0].seed, row.replicates[1].seed);
             assert_eq!(row.replicates[0].seed, replicate_seed(9, 0));
         }
-    }
-
-    #[test]
-    fn mac_workers_are_result_invariant() {
-        // The colour-class parallel slot loop must never change a report:
-        // same fingerprint with the serial MAC and with 4 workers.
-        let specs = vec![tiny_matrix().remove(1)];
-        let serial = run_matrix_report(&specs, &SweepConfig::default());
-        let sharded =
-            run_matrix_report(&specs, &SweepConfig { mac_workers: 4, ..SweepConfig::default() });
-        assert_eq!(serial.stable_fingerprint(), sharded.stable_fingerprint());
     }
 
     #[test]

@@ -102,9 +102,9 @@ fn report_identical_across_thread_counts() {
 
 #[test]
 fn report_identical_across_intra_run_workers() {
-    // MAC colour-class workers, world-generation workers and protocol
-    // dispatch workers shard inside one simulation; none may move the
-    // report fingerprint. (At this preset's 100 nodes the world and
+    // World-generation workers and protocol dispatch workers shard
+    // inside one simulation; neither may move the report fingerprint.
+    // (At this preset's 100 nodes the world and
     // dispatch knobs resolve to the serial loops — the sharded paths
     // themselves are pinned by world_differential.rs and
     // dispatch_differential.rs; the smoke-scaled registry gate in
@@ -115,7 +115,6 @@ fn report_identical_across_intra_run_workers() {
         &[small_spec()],
         &SweepConfig {
             threads: 1,
-            mac_workers: 4,
             world_workers: 4,
             dispatch_workers: 4,
             ..SweepConfig::default()

@@ -12,14 +12,15 @@
 //! * `advance_slot_full_scan_into` — the pre-index MAC slot loop (process
 //!   every slot, probe `has_link` per listener × transmitter), kept in
 //!   `dirq_lmac` as the reference. A network driven by the indexed fast
-//!   path must produce the identical indication stream, statistics and
-//!   energy ledgers on arbitrary topologies, traffic and churn.
+//!   path — transmitter-major reception into the edge-aligned neighbour
+//!   arena — must produce the identical indication stream, statistics,
+//!   energy ledgers, schedules and every per-node neighbour aggregate on
+//!   arbitrary topologies, traffic and churn.
 //!
-//! The same full-scan reference also pins the **edge-aligned neighbour
-//! arena + colour-class parallel frame**: networks running the sharded
-//! listener phase at 1, 2 and 4 workers must be bit-equal to the serial
-//! reference on indications, statistics, ledgers, schedules and every
-//! per-node neighbour aggregate (`arena_parallel_frames_match_reference`).
+//! The same full-scan reference also pins networks configured with 1, 2
+//! and 4 `workers` (`arena_parallel_frames_match_reference`): the setting
+//! no longer shapes the MAC, and every such network must stay bit-equal
+//! to the serial reference.
 
 use std::collections::BTreeMap;
 
@@ -194,13 +195,35 @@ fn sampled_topology(n: usize, raw_edges: &[(u32, u32)]) -> Topology {
 
 type Net = LmacNetwork<u32>;
 
-fn build_net(topo: &Topology) -> Net {
+/// A network over `topo`, pre-scheduled greedily or (`cold`) left to the
+/// join protocol, whose random slot picks collide.
+fn build_net(topo: &Topology, cold: bool) -> Net {
     // 48 slots always exceed the densest possible 2-hop neighbourhood of a
     // ≤24-node graph, so greedy assignment cannot fail.
     let cfg = LmacConfig { slots_per_frame: 48, ..LmacConfig::default() };
     let mut net = Net::new(cfg, topo.clone());
-    net.assign_slots_greedy();
+    if !cold {
+        net.assign_slots_greedy();
+    }
     net
+}
+
+/// Per-node neighbour-aggregate snapshot, for bit-equality across paths.
+fn neighbor_aggregates(net: &Net, n: usize) -> Vec<String> {
+    (0..n)
+        .map(|i| {
+            let v = net.neighbor_table(NodeId(i as u32));
+            format!(
+                "{:?}|{:?}|{}|{:?}|{:?}|{:?}",
+                v.nodes().collect::<Vec<_>>(),
+                v.len(),
+                v.min_gateway_dist(),
+                v.one_hop_occupancy(),
+                v.two_hop_occupancy(),
+                v.stale(1_000_000, 3),
+            )
+        })
+        .collect()
 }
 
 proptest! {
@@ -208,8 +231,9 @@ proptest! {
 
     /// The occupancy-index fast path and the full-scan reference loop
     /// produce identical indication streams (same nodes, same order),
-    /// statistics, ledgers and schedules on arbitrary topologies with
-    /// arbitrary unicast/multicast/broadcast traffic and mid-run churn.
+    /// statistics, ledgers, schedules and per-node neighbour aggregates on
+    /// arbitrary topologies with arbitrary unicast/multicast/broadcast
+    /// traffic and mid-run churn.
     #[test]
     fn occupancy_index_matches_full_scan(
         n in 4usize..24,
@@ -219,8 +243,10 @@ proptest! {
         seed in 0u64..1_000_000,
     ) {
         let topo = sampled_topology(n, &raw_edges);
-        let mut fast = build_net(&topo);
-        let mut full = build_net(&topo);
+        // Odd seeds cold-start through the join protocol, so collisions
+        // and re-joins are exercised too.
+        let mut fast = build_net(&topo, seed % 2 == 1);
+        let mut full = build_net(&topo, seed % 2 == 1);
         let mut rng_fast = RngFactory::new(seed).stream("mac-differential");
         let mut rng_full = RngFactory::new(seed).stream("mac-differential");
 
@@ -243,11 +269,12 @@ proptest! {
         let slots_per_frame = fast.config().slots_per_frame;
         let mut out_fast: Vec<MacIndication<u32>> = Vec::new();
         let mut out_full: Vec<MacIndication<u32>> = Vec::new();
-        for frame in 0..6u32 {
-            // Kill (frame 1) and revive (frame 4) the sampled victims so
-            // the differential covers deaths, stale detection and re-joins.
-            if frame == 1 || frame == 4 {
-                let alive = frame == 4;
+        for frame in 0..9u32 {
+            // Kill (frame 1) and revive (frame 6, after the liveness
+            // timeout has fired) the sampled victims so the differential
+            // covers deaths, stale detection and re-joins.
+            if frame == 1 || frame == 6 {
+                let alive = frame == 6;
                 for &d in &deaths {
                     let v = NodeId((d as usize % n) as u32);
                     if !v.is_root() {
@@ -274,6 +301,7 @@ proptest! {
             format!("{:?}", fast.control_ledger()),
             format!("{:?}", full.control_ledger())
         );
+        prop_assert_eq!(neighbor_aggregates(&fast, n), neighbor_aggregates(&full, n));
         for i in 0..n {
             let node = NodeId(i as u32);
             prop_assert_eq!(fast.slot_of(node), full.slot_of(node));
@@ -282,33 +310,11 @@ proptest! {
     }
 }
 
-// --- Arena + colour-class parallel frame vs full-scan reference ----------
-
-/// Per-node neighbour-aggregate snapshot, for bit-equality across paths.
-fn neighbor_aggregates(net: &Net, n: usize) -> Vec<String> {
-    (0..n)
-        .map(|i| {
-            let v = net.neighbor_table(NodeId(i as u32));
-            format!(
-                "{:?}|{:?}|{}|{:?}|{:?}|{:?}",
-                v.nodes().collect::<Vec<_>>(),
-                v.len(),
-                v.min_gateway_dist(),
-                v.one_hop_occupancy(),
-                v.two_hop_occupancy(),
-                v.stale(1_000_000, 3),
-            )
-        })
-        .collect()
-}
+// --- Edge-aligned arena frames vs full-scan reference ---------------------
 
 fn build_net_with_workers(topo: &Topology, workers: usize) -> Net {
     let cfg = LmacConfig { slots_per_frame: 48, workers: workers.max(1), ..LmacConfig::default() };
     let mut net = Net::new(cfg, topo.clone());
-    if workers > 1 {
-        // Exercise the sharded listener phase even on 1-core hosts.
-        net.force_sharded_listeners();
-    }
     net.assign_slots_greedy();
     net
 }
@@ -316,7 +322,7 @@ fn build_net_with_workers(topo: &Topology, workers: usize) -> Net {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
-    /// Arena-backed frames at 1, 2 and 4 colour-class workers are
+    /// Arena-backed frames configured with 1, 2 and 4 `workers` are
     /// bit-equal to the serial full-scan reference — indication streams
     /// (same nodes, same order), statistics, both energy ledgers,
     /// schedules, liveness and every per-node neighbour aggregate — on
@@ -330,7 +336,7 @@ proptest! {
         seed in 0u64..1_000_000,
     ) {
         let topo = sampled_topology(n, &raw_edges);
-        let mut reference = build_net(&topo);
+        let mut reference = build_net(&topo, false);
         let mut nets: Vec<Net> =
             [1usize, 2, 4].iter().map(|&w| build_net_with_workers(&topo, w)).collect();
         let mut rng_ref = RngFactory::new(seed).stream("mac-differential");
