@@ -27,8 +27,7 @@
 //! entirely.
 //!
 //! Usage: `scenario_matrix [--preset NAME] [--epoch-scale F] [--quick]
-//! [--threads T] [--world-workers W] [--dispatch-workers W]
-//! [--upkeep-workers W] [--replicates R]
+//! [--threads T] [--world-workers W] [--upkeep-workers W] [--replicates R]
 //! [--perf-floor F] [--out PATH] [--smoke] [--list]`
 
 use dirq_bench::matrix;
@@ -41,9 +40,8 @@ fn usage(err: &str) -> ! {
     }
     eprintln!(
         "usage: scenario_matrix [--preset NAME] [--epoch-scale F] [--quick] \
-         [--threads T] [--world-workers W] [--dispatch-workers W] \
-         [--upkeep-workers W] [--replicates R] [--perf-floor F] [--out PATH] \
-         [--smoke] [--list]"
+         [--threads T] [--world-workers W] [--upkeep-workers W] \
+         [--replicates R] [--perf-floor F] [--out PATH] [--smoke] [--list]"
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }
@@ -89,12 +87,6 @@ fn main() {
                     .next()
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| usage("--world-workers needs a number"))
-            }
-            "--dispatch-workers" => {
-                cfg.dispatch_workers = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--dispatch-workers needs a number"))
             }
             "--upkeep-workers" => {
                 cfg.upkeep_workers = args
@@ -162,16 +154,15 @@ fn main() {
 /// round-trip, a staleness check of the checked-in `BENCH_2.json`, and
 /// the perf-trajectory tripwire. Any failure exits non-zero.
 ///
-/// Only the worker knobs (`--world-workers`/`--dispatch-workers`/
-/// `--upkeep-workers`) flow in from the command line — the CI worker
-/// matrix exercises the parallel world-generation, protocol dispatch and
-/// protocol upkeep paths, and none may move a fingerprint. Budget knobs
+/// Only the worker knobs (`--world-workers`/`--upkeep-workers`) flow in
+/// from the command line — the CI worker matrix exercises the parallel
+/// world-generation and protocol-upkeep paths, and neither may move a
+/// fingerprint. Budget knobs
 /// (`--epoch-scale`, `--quick`, `--replicates`) are deliberately
 /// ignored: the smoke goldens are recorded at fixed budgets.
 fn run_smoke(out: &str, cli_cfg: &SweepConfig, floor: f64) {
     let base_cfg = &SweepConfig {
         world_workers: cli_cfg.world_workers,
-        dispatch_workers: cli_cfg.dispatch_workers,
         upkeep_workers: cli_cfg.upkeep_workers,
         ..SweepConfig::default()
     };
@@ -223,14 +214,13 @@ fn run_smoke(out: &str, cli_cfg: &SweepConfig, floor: f64) {
         );
         std::process::exit(1);
     }
-    // Golden worker-invariance gate for the parallel world,
-    // protocol-dispatch and protocol-upkeep paths: the whole registry
+    // Golden worker-invariance gate for the parallel world and
+    // protocol-upkeep paths: the whole registry
     // (scaled to smoke budgets) serial vs with the requested intra-run
     // worker knobs engaged — identical report fingerprints. Only
     // meaningful when a worker knob is > 1, so the serial CI matrix leg
     // skips the two extra registry sweeps.
-    let workers =
-        base_cfg.world_workers.max(base_cfg.dispatch_workers).max(base_cfg.upkeep_workers).max(1);
+    let workers = base_cfg.world_workers.max(base_cfg.upkeep_workers).max(1);
     if workers > 1 {
         let registry_scale = 0.1;
         let reg1 = run_matrix_report(
@@ -238,7 +228,6 @@ fn run_smoke(out: &str, cli_cfg: &SweepConfig, floor: f64) {
             &SweepConfig {
                 threads: 1,
                 world_workers: 1,
-                dispatch_workers: 1,
                 upkeep_workers: 1,
                 epoch_scale: registry_scale,
                 ..SweepConfig::default()
@@ -249,7 +238,6 @@ fn run_smoke(out: &str, cli_cfg: &SweepConfig, floor: f64) {
             &SweepConfig {
                 threads: 4,
                 world_workers: base_cfg.world_workers.max(1),
-                dispatch_workers: base_cfg.dispatch_workers.max(1),
                 upkeep_workers: base_cfg.upkeep_workers.max(1),
                 epoch_scale: registry_scale,
                 ..SweepConfig::default()
@@ -258,12 +246,10 @@ fn run_smoke(out: &str, cli_cfg: &SweepConfig, floor: f64) {
         if reg1.stable_fingerprint() != reg_sharded.stable_fingerprint() {
             eprintln!(
                 "FAIL: registry diverges across worker counts: {:#018X} (serial) vs \
-                 {:#018X} (4 sweep threads x {} world workers x {} dispatch workers x {} \
-                 upkeep workers)",
+                 {:#018X} (4 sweep threads x {} world workers x {} upkeep workers)",
                 reg1.stable_fingerprint(),
                 reg_sharded.stable_fingerprint(),
                 base_cfg.world_workers.max(1),
-                base_cfg.dispatch_workers.max(1),
                 base_cfg.upkeep_workers.max(1),
             );
             std::process::exit(1);

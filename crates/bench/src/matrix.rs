@@ -39,8 +39,8 @@ pub fn history_with(path: &str, report: &ScenarioReport, wall: f64) -> Json {
 }
 
 /// Run-loop epochs/s of one preset at `threads` intra-run workers
-/// (world-generation shards, protocol-dispatch shards *and*
-/// protocol-upkeep shards), best of `repeats`.
+/// (world-generation shards *and* protocol-upkeep shards), best of
+/// `repeats`.
 /// Returns `(epochs_per_sec, epochs, fingerprint)`.
 pub fn measure_throughput(spec: &ScenarioSpec, threads: usize, repeats: usize) -> (f64, u64, u64) {
     let scheme = spec.schemes[0];
@@ -50,7 +50,6 @@ pub fn measure_throughput(spec: &ScenarioSpec, threads: usize, repeats: usize) -
     for _ in 0..repeats.max(1) {
         let mut run_cfg = spec.config(scheme, spec.seed);
         run_cfg.world_workers = threads;
-        run_cfg.dispatch_workers = threads;
         run_cfg.upkeep_workers = threads;
         let engine = Engine::new(run_cfg);
         let t = Instant::now();

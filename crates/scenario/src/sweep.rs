@@ -29,12 +29,6 @@ pub struct SweepConfig {
     /// results — bit-identical at any count, enforced by the CI smoke
     /// worker matrix and the world differential suite.
     pub world_workers: usize,
-    /// Intra-run protocol-dispatch workers
-    /// ([`dirq_core::ScenarioConfig::dispatch_workers`]): sharded
-    /// indication dispatch between MAC slots inside each simulation.
-    /// Never affects results — bit-identical at any count, enforced by
-    /// the CI smoke worker matrix and the dispatch differential suite.
-    pub dispatch_workers: usize,
     /// Intra-run protocol-upkeep workers
     /// ([`dirq_core::ScenarioConfig::upkeep_workers`]): sharded sensor
     /// sampling and tree-repair scans inside each simulation. Never
@@ -50,7 +44,6 @@ impl Default for SweepConfig {
             replicates: 1,
             epoch_scale: 1.0,
             world_workers: 1,
-            dispatch_workers: 1,
             upkeep_workers: 1,
         }
     }
@@ -78,7 +71,6 @@ pub fn run_matrix_report(specs: &[ScenarioSpec], cfg: &SweepConfig) -> ScenarioR
         let seed = replicate_seed(spec.seed, rep);
         let mut run_cfg = spec.config(scheme, seed);
         run_cfg.world_workers = cfg.world_workers.max(1);
-        run_cfg.dispatch_workers = cfg.dispatch_workers.max(1);
         run_cfg.upkeep_workers = cfg.upkeep_workers.max(1);
         let run = run_scenario(run_cfg);
         ScenarioOutcome::from_run(&spec.name, &scheme.label(), seed, &run)
@@ -148,22 +140,6 @@ mod tests {
         let serial = run_matrix_report(&specs, &SweepConfig::default());
         let sharded =
             run_matrix_report(&specs, &SweepConfig { world_workers: 4, ..SweepConfig::default() });
-        assert_eq!(serial.stable_fingerprint(), sharded.stable_fingerprint());
-    }
-
-    #[test]
-    fn dispatch_workers_are_result_invariant() {
-        // The dispatch_workers knob must never change a report: same
-        // fingerprint serial and with 4 dispatch workers. (The tiny matrix
-        // sits below the dispatch sharding node floor, so this pins the
-        // knob's serial resolution; the sharded dispatch itself is pinned
-        // by tests/dispatch_differential.rs and the scenario_matrix smoke.)
-        let specs = vec![tiny_matrix().remove(1)];
-        let serial = run_matrix_report(&specs, &SweepConfig::default());
-        let sharded = run_matrix_report(
-            &specs,
-            &SweepConfig { dispatch_workers: 4, ..SweepConfig::default() },
-        );
         assert_eq!(serial.stable_fingerprint(), sharded.stable_fingerprint());
     }
 

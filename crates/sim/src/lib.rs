@@ -1,14 +1,12 @@
-//! # dirq-sim — discrete-event simulation kernel
+//! # dirq-sim — shared simulation substrate
 //!
 //! The DirQ paper evaluates its protocol inside OMNeT++, a discrete-event
-//! simulator. There is no comparable WSN simulation ecosystem in Rust, so
-//! this crate provides the substrate from scratch:
+//! simulator. This reproduction steps epochs and TDMA slots directly, so
+//! it needs no event kernel; this crate holds the pieces every layer
+//! shares instead:
 //!
-//! * [`time`] — a discrete simulation clock ([`SimTime`], [`SimDuration`]).
-//! * [`queue`] — a deterministic pending-event set with stable FIFO
-//!   tie-breaking for simultaneous events.
-//! * [`engine`] — the event loop: a [`Simulator`] drives a user [`Model`],
-//!   which schedules future events through a [`Context`].
+//! * [`time`] — the simulation clock instant ([`SimTime`]) that bucketed
+//!   time series are keyed by.
 //! * [`rng`] — reproducible hierarchical random-number streams so that every
 //!   component (radio, data generator, workload, …) draws from an
 //!   independent, seed-derived stream.
@@ -16,37 +14,28 @@
 //!   bucketed time series used by the measurement harness.
 //! * [`runner`] — a parallel parameter-sweep/matrix executor (one
 //!   simulation per thread, deterministic output ordering, seed
-//!   replication).
+//!   replication) and the persistent [`runner::WorkerPool`] behind the
+//!   engine's sharded world and upkeep passes.
 //! * [`report`] — tiny CSV/ASCII-table emitters for experiment output.
 //! * [`json`] — a deterministic JSON writer/parser for bench artifacts,
 //!   scenario reports and the daemon wire protocol.
 //! * [`snap`] — the versioned binary snapshot codec behind engine
 //!   checkpoint/restore (and the on-disk image framing).
 //! * [`fingerprint`] — the FNV-1a hasher behind every determinism golden.
-//!
-//! The kernel is deliberately minimal: single-threaded event processing per
-//! simulation instance (simulations themselves are embarrassingly parallel
-//! across parameter points), no virtual dispatch in the hot loop, and an
-//! allocation-free scheduling fast path.
 
 #![warn(missing_docs)]
 
-pub mod engine;
 pub mod fingerprint;
 pub mod json;
-pub mod queue;
 pub mod report;
 pub mod rng;
 pub mod runner;
 pub mod snap;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
-pub use engine::{Context, Model, Simulator};
 pub use fingerprint::Fnv;
 pub use json::Json;
-pub use queue::EventQueue;
 pub use rng::{split_key, RngFactory, SimRng, StreamRng};
 pub use snap::{SnapError, SnapReader, SnapWriter};
-pub use time::{SimDuration, SimTime};
+pub use time::SimTime;

@@ -121,11 +121,12 @@ const GEN_MASK: u64 = 0xFFFF_FFFF_0000_0000;
 type Job = (*const (dyn Fn(usize) + Sync), usize, u64);
 
 /// A persistent work-stealing worker pool for **fine-grained, repeated**
-/// fan-outs — the reuse primitive the per-slot MAC parallelism is built
-/// on. [`run_sweep`] spawns scoped threads per call, which is fine for
-/// second-long simulation jobs but prohibitive for the microsecond-scale
-/// work inside one MAC slot; a `WorkerPool` spawns its helpers once and
-/// re-dispatches to them tens of thousands of times per second.
+/// fan-outs — the reuse primitive behind the engine's sharded per-epoch
+/// passes (world advance, sensor sampling, repair scans). [`run_sweep`]
+/// spawns scoped threads per call, which is fine for second-long
+/// simulation jobs but prohibitive for the sub-millisecond work inside
+/// one epoch; a `WorkerPool` spawns its helpers once and re-dispatches to
+/// them every epoch.
 ///
 /// ## Execution model
 ///
@@ -142,7 +143,7 @@ type Job = (*const (dyn Fn(usize) + Sync), usize, u64);
 /// * **Scheduling-independent results are the caller's contract** — items
 ///   may execute on any thread in any interleaving, so callers that need
 ///   determinism must make items independent and merge their outputs in a
-///   fixed order (the MAC merges per-listener output in listener order).
+///   fixed order (the engine replays per-chunk effects in chunk order).
 ///
 /// The cursor carries a generation tag so a helper parked through several
 /// `run` calls can never claim (or double-claim) items from a generation
@@ -313,8 +314,8 @@ fn claim_items(inner: &PoolInner, gen: u64, items: usize, f: *const (dyn Fn(usiz
 fn helper_loop(inner: &PoolInner) {
     let mut last_seq = 0u64;
     loop {
-        // Wait for a new generation: spin briefly (dispatches arrive every
-        // few microseconds mid-frame), then park.
+        // Wait for a new generation: spin briefly in case the next run
+        // follows closely, then park.
         let mut spins = 0u32;
         let seq = loop {
             let s = inner.seq.load(Ordering::Acquire);
@@ -443,8 +444,8 @@ mod tests {
 
     #[test]
     fn pool_reuse_across_many_generations() {
-        // The MAC dispatches per slot: tens of thousands of tiny runs on
-        // one pool. Totals must stay exact across generations.
+        // An engine pool serves thousands of tiny runs over its life.
+        // Totals must stay exact across generations.
         let mut pool = WorkerPool::new(3);
         let total = AtomicUsize::new(0);
         for round in 0..5_000usize {

@@ -1,191 +1,21 @@
 //! Discrete simulation time.
 //!
 //! The paper measures everything in *epochs* (one sensor acquisition per
-//! node per epoch, queries every 20 epochs, runs of 20 000 epochs). The MAC
-//! layer operates at a finer granularity (TDMA slots). We therefore keep the
-//! kernel clock in abstract *ticks* and let higher layers choose a
-//! ticks-per-epoch / ticks-per-slot mapping.
-
-use std::fmt;
-use std::ops::{Add, AddAssign, Sub};
+//! node per epoch, queries every 20 epochs, runs of 20 000 epochs). Time
+//! series key their buckets by an abstract tick count so higher layers
+//! choose what a tick means (the engine records one tick per epoch).
 
 /// An absolute instant on the simulation clock, in ticks since start.
 ///
-/// `SimTime` is a transparent `u64` newtype: cheap to copy, totally ordered,
-/// and overflow-checked in debug builds through the arithmetic impls below.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+/// `SimTime` is a transparent `u64` newtype: cheap to copy and totally
+/// ordered.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(pub u64);
 
-/// A span between two [`SimTime`] instants, in ticks.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct SimDuration(pub u64);
-
 impl SimTime {
-    /// The origin of simulated time.
-    pub const ZERO: SimTime = SimTime(0);
-    /// The greatest representable instant; used as an "infinite" horizon.
-    pub const MAX: SimTime = SimTime(u64::MAX);
-
     /// Raw tick count.
     #[inline]
     pub const fn ticks(self) -> u64 {
         self.0
-    }
-
-    /// Saturating addition of a duration (never wraps past [`SimTime::MAX`]).
-    #[inline]
-    pub const fn saturating_add(self, d: SimDuration) -> SimTime {
-        SimTime(self.0.saturating_add(d.0))
-    }
-
-    /// Duration elapsed since `earlier`, or `None` when `earlier` is later
-    /// than `self`.
-    #[inline]
-    pub const fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        match self.0.checked_sub(earlier.0) {
-            Some(d) => Some(SimDuration(d)),
-            None => None,
-        }
-    }
-
-    /// Index of the epoch containing this instant, for a given epoch length.
-    ///
-    /// # Panics
-    /// Panics if `ticks_per_epoch` is zero.
-    #[inline]
-    pub const fn epoch(self, ticks_per_epoch: u64) -> u64 {
-        assert!(ticks_per_epoch > 0, "epoch length must be positive");
-        self.0 / ticks_per_epoch
-    }
-}
-
-impl SimDuration {
-    /// The empty duration.
-    pub const ZERO: SimDuration = SimDuration(0);
-
-    /// Construct from a raw tick count.
-    #[inline]
-    pub const fn from_ticks(t: u64) -> SimDuration {
-        SimDuration(t)
-    }
-
-    /// Raw tick count.
-    #[inline]
-    pub const fn ticks(self) -> u64 {
-        self.0
-    }
-
-    /// Scale the duration by an integer factor, saturating on overflow.
-    #[inline]
-    pub const fn saturating_mul(self, n: u64) -> SimDuration {
-        SimDuration(self.0.saturating_mul(n))
-    }
-}
-
-impl Add<SimDuration> for SimTime {
-    type Output = SimTime;
-    #[inline]
-    fn add(self, rhs: SimDuration) -> SimTime {
-        SimTime(self.0 + rhs.0)
-    }
-}
-
-impl AddAssign<SimDuration> for SimTime {
-    #[inline]
-    fn add_assign(&mut self, rhs: SimDuration) {
-        self.0 += rhs.0;
-    }
-}
-
-impl Sub<SimTime> for SimTime {
-    type Output = SimDuration;
-    #[inline]
-    fn sub(self, rhs: SimTime) -> SimDuration {
-        SimDuration(self.0 - rhs.0)
-    }
-}
-
-impl Add<SimDuration> for SimDuration {
-    type Output = SimDuration;
-    #[inline]
-    fn add(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0 + rhs.0)
-    }
-}
-
-impl fmt::Debug for SimTime {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "t={}", self.0)
-    }
-}
-
-impl fmt::Display for SimTime {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-impl fmt::Debug for SimDuration {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}t", self.0)
-    }
-}
-
-impl fmt::Display for SimDuration {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn ordering_and_arithmetic() {
-        let a = SimTime(10);
-        let b = a + SimDuration(5);
-        assert_eq!(b, SimTime(15));
-        assert!(a < b);
-        assert_eq!(b - a, SimDuration(5));
-    }
-
-    #[test]
-    fn saturating_add_caps_at_max() {
-        let t = SimTime::MAX.saturating_add(SimDuration(1));
-        assert_eq!(t, SimTime::MAX);
-    }
-
-    #[test]
-    fn checked_since_orders() {
-        assert_eq!(SimTime(5).checked_since(SimTime(2)), Some(SimDuration(3)));
-        assert_eq!(SimTime(2).checked_since(SimTime(5)), None);
-    }
-
-    #[test]
-    fn epoch_indexing() {
-        assert_eq!(SimTime(0).epoch(20), 0);
-        assert_eq!(SimTime(19).epoch(20), 0);
-        assert_eq!(SimTime(20).epoch(20), 1);
-        assert_eq!(SimTime(399).epoch(20), 19);
-    }
-
-    #[test]
-    #[should_panic(expected = "epoch length must be positive")]
-    fn epoch_zero_len_panics() {
-        let _ = SimTime(1).epoch(0);
-    }
-
-    #[test]
-    fn add_assign_advances() {
-        let mut t = SimTime(1);
-        t += SimDuration(9);
-        assert_eq!(t.ticks(), 10);
-    }
-
-    #[test]
-    fn duration_scaling() {
-        assert_eq!(SimDuration(7).saturating_mul(3), SimDuration(21));
-        assert_eq!(SimDuration(u64::MAX).saturating_mul(2), SimDuration(u64::MAX));
     }
 }

@@ -5,8 +5,10 @@
 //! S. De Luigi, P. Havinga — ICPP Workshops 2006), including every
 //! substrate the paper runs on:
 //!
-//! * [`sim`] — a deterministic discrete-event simulation kernel (the
-//!   paper used OMNeT++),
+//! * [`sim`] — the shared simulation substrate: seed-derived RNG streams,
+//!   statistics, the sweep runner and worker pool, JSON and snapshot
+//!   codecs (the paper used the OMNeT++ discrete-event simulator; this
+//!   reproduction steps epochs and TDMA slots directly),
 //! * [`net`] — node placement, radio models, topology graphs, spanning
 //!   trees, unit-cost energy accounting, churn schedules,
 //! * [`lmac`] — the LMAC TDMA MAC protocol with distributed slot
@@ -74,7 +76,7 @@ pub mod prelude {
         preset, registry, run_matrix_report, ChurnProfile, ScenarioReport, ScenarioSpec, Scheme,
         SweepConfig,
     };
-    pub use dirq_sim::{RngFactory, SimDuration, SimTime};
+    pub use dirq_sim::{RngFactory, SimTime};
 }
 
 #[cfg(test)]

@@ -77,17 +77,6 @@ fn world_workers_do_not_change_metrics() {
 }
 
 #[test]
-fn dispatch_workers_do_not_change_metrics() {
-    // The dispatch_workers knob must never move an engine fingerprint. At
-    // this size (64 nodes, below the dispatch sharding node floor) the
-    // knob resolves to the serial drain — this pins that resolution; the
-    // sharded dispatch itself is pinned bit-equal to serial by the
-    // forced-hook cases in tests/dispatch_differential.rs.
-    let r = run_scenario(ScenarioConfig { dispatch_workers: 4, ..fixed_delta_scenario() });
-    assert_eq!(r.stable_fingerprint(), GOLDEN_FIXED, "dispatch_workers changed observable metrics");
-}
-
-#[test]
 fn parallel_sweep_output_matches_sequential() {
     // One simulation per parameter point; sequential and 4-way parallel
     // execution must produce byte-identical result vectors.

@@ -167,3 +167,35 @@ fn queries_span_all_four_types_over_a_run() {
     }
     assert!(seen.iter().all(|&s| s), "workload should exercise every sensor type, saw {seen:?}");
 }
+
+#[test]
+fn adding_a_type_outside_the_catalog_is_rejected_uniformly() {
+    // A sensor type the world has no readings for must be refused at
+    // `add_sensor` with one message, whatever the sampling strategy or
+    // upkeep worker count — never panic later inside one sampling path
+    // or be ignored silently by another.
+    let strategies =
+        [SamplingStrategy::EveryEpoch, SamplingStrategy::Predictive(PredictiveConfig::default())];
+    for sampling in strategies {
+        for workers in [1, 2] {
+            let mut engine = Engine::new(ScenarioConfig { sampling, ..ScenarioConfig::paper(1) });
+            if workers > 1 {
+                engine.force_sharded_upkeep(workers);
+            }
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                engine.add_sensor(NodeId::from_index(3), SensorType(7));
+                engine.step_epoch();
+            }));
+            let payload = outcome.expect_err("an out-of-catalog sensor type must be rejected");
+            let msg = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied())
+                .unwrap_or_default();
+            assert_eq!(
+                msg, "add_sensor: sensor type s7 is outside the catalog (4 types)",
+                "{sampling:?} at {workers} upkeep workers"
+            );
+        }
+    }
+}

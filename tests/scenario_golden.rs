@@ -102,23 +102,16 @@ fn report_identical_across_thread_counts() {
 
 #[test]
 fn report_identical_across_intra_run_workers() {
-    // World-generation workers and protocol dispatch workers shard
-    // inside one simulation; neither may move the report fingerprint.
-    // (At this preset's 100 nodes the world and
-    // dispatch knobs resolve to the serial loops — the sharded paths
-    // themselves are pinned by world_differential.rs and
-    // dispatch_differential.rs; the smoke-scaled registry gate in
+    // World-generation workers shard inside one simulation; they may not
+    // move the report fingerprint. (At this preset's 100 nodes the world
+    // knob resolves to the serial loop — the sharded path itself is
+    // pinned by world_differential.rs; the smoke-scaled registry gate in
     // `scenario_matrix --smoke` covers the ≥2 000-node presets where the
     // shard paths really engage.)
     let serial = report_for(small_spec(), 1);
     let sharded = run_matrix_report(
         &[small_spec()],
-        &SweepConfig {
-            threads: 1,
-            world_workers: 4,
-            dispatch_workers: 4,
-            ..SweepConfig::default()
-        },
+        &SweepConfig { threads: 1, world_workers: 4, ..SweepConfig::default() },
     );
     assert_eq!(
         serial.stable_fingerprint(),
