@@ -25,6 +25,7 @@
 //!   truncates to "0.76". (The paper's companion claim of "1 update every
 //!   1.03 queries" is an arithmetic slip: 1/0.7667 ≈ 1.30.)
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod kary;

@@ -20,6 +20,7 @@
 //! 20 000-epoch setup. Output is an aligned table plus machine-readable
 //! CSV blocks.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod args;

@@ -18,12 +18,12 @@ use dirq_data::sensor::SensorAssignment;
 use dirq_data::workload::CalibratedQuery;
 use dirq_data::{QueryGenerator, QueryId, SensorCatalog, SensorWorld, WorldConfig};
 use dirq_lmac::network::MacStats;
-use dirq_lmac::{Destination, LmacConfig, LmacNetwork, MacIndication};
+use dirq_lmac::{Destination, LmacConfig, LmacNetwork, MacIndication, NeighborRows};
 use dirq_net::churn::ChurnPlan;
 use dirq_net::placement::{Placement, SinkPlacement};
 use dirq_net::radio::{LogDistance, UnitDisk};
 use dirq_net::{NodeId, SpanningTree, Topology};
-use dirq_sim::runner::WorkerPool;
+use dirq_sim::runner::{fan_out, host_workers};
 use dirq_sim::stats::Ewma;
 use dirq_sim::{RngFactory, SimRng, SnapError, SnapReader, SnapWriter};
 
@@ -163,17 +163,21 @@ pub struct ScenarioConfig {
     /// scenario when `None`).
     pub world: Option<WorldConfig>,
     /// Worker threads for the per-epoch world advance (split per-node RNG
-    /// streams shard over node ranges). Never affects results — the
-    /// sharded advance is bit-identical at any count.
+    /// streams shard over node ranges; each epoch fans out over scoped
+    /// threads, clamped to the host's parallelism when the engine is
+    /// built). Never affects results — the sharded advance is
+    /// bit-identical at any count.
     pub world_workers: usize,
     /// Retained for configuration compatibility only: it no longer
     /// affects the engine, whose indication dispatch is one serial drain
     /// per MAC slot.
     pub dispatch_workers: usize,
     /// Worker threads for the per-node protocol-upkeep passes (sensor
-    /// sampling and tree-repair scans shard over contiguous node ranges,
-    /// with the shared-state mutations replayed in chunk order). Never
-    /// affects results — the sharded upkeep is bit-identical at any count.
+    /// sampling and tree-repair scans fan out over contiguous node ranges
+    /// on scoped threads, with the shared-state mutations replayed in
+    /// chunk order). Clamped to the host's parallelism when the engine is
+    /// built. Never affects results — the sharded upkeep is bit-identical
+    /// at any count.
     pub upkeep_workers: usize,
     /// Epochs to wait after injection before scoring a query.
     pub completion_window: u64,
@@ -413,11 +417,11 @@ pub struct Engine {
     /// Scratch: true-source membership bits for [`Engine::finalize_query`]
     /// (set and cleared per query).
     source_mark: Vec<bool>,
-    /// Worker pool for the sharded protocol-upkeep passes (sampling and
-    /// repair scans); `None` = serial. The `upkeep_workers` knob resolves
-    /// here against the host parallelism and a node-count floor.
-    upkeep_pool: Option<WorkerPool>,
-    /// Per-worker decision/effect buffers for sharded upkeep; empty when
+    /// Threads for the sharded protocol-upkeep fan-outs (sampling and
+    /// repair scans): the `upkeep_workers` knob, resolved once by
+    /// [`Engine::new`] against the host parallelism and a node-count floor.
+    upkeep_workers: usize,
+    /// Per-part decision/effect buffers for sharded upkeep; empty when
     /// serial.
     upkeep_shards: Vec<UpkeepShard>,
     /// Scratch: `[start, end)` chunk bounds per upkeep worker.
@@ -696,14 +700,16 @@ impl Engine {
 
         // Sharded upkeep engages only when the knob asks for several
         // workers, the deployment is big enough to feed them and the host
-        // actually has the cores (WorkerPool clamps to the hardware) — a
-        // 1-core box resolves to the serial loops.
-        let upkeep_pool = (cfg.upkeep_workers.max(1) > 1 && n >= UPKEEP_MIN_NODES)
-            .then(|| WorkerPool::new(cfg.upkeep_workers))
-            .filter(|p| p.workers() > 1);
-        let upkeep_shards: Vec<UpkeepShard> = match &upkeep_pool {
-            Some(p) => (0..p.workers()).map(|_| UpkeepShard::default()).collect(),
-            None => Vec::new(),
+        // actually has the cores. The knob is clamped to the host here,
+        // once, before it sizes the shard buffers — a 1-core box resolves
+        // to the serial loops, and no configured count (including one
+        // `dirqd` accepted off the wire) sizes threads beyond the host.
+        let upkeep_workers =
+            if n >= UPKEEP_MIN_NODES { host_workers(cfg.upkeep_workers) } else { 1 };
+        let upkeep_shards: Vec<UpkeepShard> = if upkeep_workers > 1 {
+            (0..upkeep_workers).map(|_| UpkeepShard::default()).collect()
+        } else {
+            Vec::new()
         };
 
         Engine {
@@ -727,7 +733,7 @@ impl Engine {
             ind_buf: Vec::with_capacity(64),
             finalize_buf: Vec::new(),
             source_mark: vec![false; n],
-            upkeep_pool,
+            upkeep_workers,
             upkeep_shards,
             upkeep_chunks: Vec::new(),
             force_upkeep: false,
@@ -798,13 +804,13 @@ impl Engine {
     /// Test hook: shard the protocol-upkeep passes (sampling + repair)
     /// over `workers` shards every epoch, bypassing the size thresholds
     /// (the upkeep differential suite pins this path bit-equal to the
-    /// serial reference). On hosts with fewer cores the pool degrades to
-    /// the caller draining all chunks — the chunk/merge logic still runs
-    /// in full.
+    /// serial reference). The fan-out threads are clamped to the host; on
+    /// hosts with fewer cores the caller drains the surplus chunks — the
+    /// chunk/merge logic still runs in full.
     #[doc(hidden)]
     pub fn force_sharded_upkeep(&mut self, workers: usize) {
         assert!(workers > 1, "forcing sharded upkeep requires at least two shards");
-        self.upkeep_pool = Some(WorkerPool::new(workers));
+        self.upkeep_workers = host_workers(workers);
         self.upkeep_shards = (0..workers).map(|_| UpkeepShard::default()).collect();
         self.force_upkeep = true;
     }
@@ -1419,8 +1425,8 @@ impl Engine {
     }
 
     /// Sharded repair: the read-only scans — detached-since tracking,
-    /// per-orphan candidate selection and the fallback choice — run over
-    /// contiguous node chunks on the upkeep pool; the adoptions replay
+    /// per-orphan candidate selection and the fallback choice — fan out
+    /// over contiguous node chunks; the adoptions replay
     /// serially in ascending node order.
     ///
     /// Bit-equality with [`Engine::repair_orphans_serial`] rests on one
@@ -1444,21 +1450,24 @@ impl Engine {
         fill_chunks(&mut chunks, self.nodes.len() - 1, self.upkeep_shards.len());
         let nchunks = chunks.len();
         let mut shards = std::mem::take(&mut self.upkeep_shards);
-        let mut pool = self.upkeep_pool.take().expect("sharded upkeep requires a pool");
-        {
-            let phase = RepairPhase {
-                detached: self.detached_since.as_mut_ptr(),
-                shards: shards.as_mut_ptr(),
-                mac: &self.mac,
-                alive: &self.alive,
-                attach_depth: &self.attach_depth,
-                parents: &self.parent_snapshot,
-                epoch: self.epoch,
-                chunks: &chunks,
-            };
-            pool.run(nchunks, &|k| unsafe { phase.run_chunk(k) });
-        }
-        self.upkeep_pool = Some(pool);
+        let mut detached = &mut self.detached_since[1..];
+        let parts: Vec<RepairPart<'_>> = chunks
+            .iter()
+            .zip(shards.iter_mut())
+            .map(|(&(start, end), shard)| RepairPart {
+                first: 1 + start as usize,
+                detached: take_head(&mut detached, (end - start) as usize),
+                shard,
+            })
+            .collect();
+        let scan = RepairScan {
+            rows: self.mac.neighbor_rows(),
+            alive: &self.alive,
+            attach_depth: &self.attach_depth,
+            parents: &self.parent_snapshot,
+            epoch: self.epoch,
+        };
+        fan_out(self.upkeep_workers, parts, |part| scan.run(part));
 
         // Primary adoptions in ascending node order, re-validated against
         // the live parent chains.
@@ -1662,25 +1671,29 @@ impl Engine {
         let types: Vec<dirq_data::SensorType> = self.world.catalog().types().collect();
         let rows: Vec<&[f64]> = types.iter().map(|&t| self.world.readings(t)).collect();
         let mut shards = std::mem::take(&mut self.upkeep_shards);
-        let mut pool = self.upkeep_pool.take().expect("sharded upkeep requires a pool");
-        {
-            let phase = SamplePhase {
-                nodes: self.nodes.as_mut_ptr(),
-                samplers: self
-                    .samplers
-                    .as_mut()
-                    .map_or(std::ptr::null_mut(), |rows| rows.as_mut_ptr()),
-                shards: shards.as_mut_ptr(),
-                carriers: &index.carriers,
-                masks: &index.masks,
-                alive: &self.alive,
-                rows: &rows,
-                types: &types,
-                chunks: &chunks,
-            };
-            pool.run(nchunks, &|k| unsafe { phase.run_chunk(k) });
+        // Part k owns the nodes (and sampler rows) from its chunk's first
+        // carrier up to the next chunk's first carrier; part 0 also owns the
+        // carrier-free prefix, so the parts partition the node range.
+        let n = self.nodes.len();
+        let mut nodes = self.nodes.as_mut_slice();
+        let mut samplers = self.samplers.as_deref_mut();
+        let mut lo = 0;
+        let mut parts = Vec::with_capacity(nchunks);
+        for (k, (&(start, end), shard)) in chunks.iter().zip(shards.iter_mut()).enumerate() {
+            let hi =
+                chunks.get(k + 1).map_or(n, |&(next, _)| index.carriers[next as usize] as usize);
+            parts.push(SamplePart {
+                first: lo,
+                carriers: &index.carriers[start as usize..end as usize],
+                nodes: take_head(&mut nodes, hi - lo),
+                samplers: samplers.as_mut().map(|rest| take_head(rest, hi - lo)),
+                shard,
+            });
+            lo = hi;
         }
-        self.upkeep_pool = Some(pool);
+        let scan =
+            SampleScan { masks: &index.masks, alive: &self.alive, rows: &rows, types: &types };
+        fan_out(self.upkeep_workers, parts, |part| scan.run(part));
         for shard in shards.iter_mut().take(nchunks) {
             let mut effects = std::mem::take(&mut shard.effects);
             for e in effects.drain(..) {
@@ -1993,12 +2006,12 @@ fn query_id_of(msg: &DirqMessage) -> Option<QueryId> {
 const DETACH_FALLBACK_EPOCHS: u64 = 25;
 
 /// Deployments below this node count never have upkeep passes dense
-/// enough to shard; skip even creating the pool.
+/// enough to shard; they resolve to one upkeep worker.
 const UPKEEP_MIN_NODES: usize = 512;
 
 /// Below this many per-pass work items (carrier nodes to sample, nodes to
 /// scan for repair) the fan-out costs more than the work; the serial
-/// loops run even when an upkeep pool exists.
+/// loops run even when several upkeep workers are configured.
 const UPKEEP_MIN_ITEMS: usize = 256;
 
 /// A MAC enqueue deferred by a sampling shard, replayed on the engine in
@@ -2094,48 +2107,42 @@ struct SampleIndex {
     carriers: Vec<u32>,
 }
 
-/// Shared view of the engine state a sampling fan-out needs. Raw pointers
-/// because chunks write disjoint `nodes`/`samplers`/`shards` elements —
-/// the carrier chunks partition the node set.
-struct SamplePhase<'a> {
-    nodes: *mut DirqNode,
-    /// Per-node sampler rows; null under [`SamplingStrategy::EveryEpoch`].
-    samplers: *mut Vec<Sampler>,
-    shards: *mut UpkeepShard,
-    carriers: &'a [u32],
+/// The read-only engine state every sampling part shares.
+struct SampleScan<'a> {
     masks: &'a [u64],
     alive: &'a [bool],
     /// Current readings per type id (`NaN` = no reading), mirroring
     /// `SensorWorld::reading`.
     rows: &'a [&'a [f64]],
     types: &'a [dirq_data::SensorType],
-    chunks: &'a [(u32, u32)],
 }
 
-// SAFETY: `run_chunk(k)` for distinct `k` touches disjoint state — the
-// chunks partition the carrier list and carriers are distinct node
-// indices, so the node/sampler entries written by different chunks never
-// alias, and shard `k` is written by chunk `k` alone.
-unsafe impl Sync for SamplePhase<'_> {}
+/// One sampling part: a chunk of the carrier list plus exclusive borrows
+/// of the node range those carriers fall in.
+struct SamplePart<'a> {
+    /// Node index of `nodes[0]`.
+    first: usize,
+    carriers: &'a [u32],
+    nodes: &'a mut [DirqNode],
+    /// Per-node sampler rows; `None` under [`SamplingStrategy::EveryEpoch`].
+    samplers: Option<&'a mut [Vec<Sampler>]>,
+    shard: &'a mut UpkeepShard,
+}
 
-impl SamplePhase<'_> {
-    /// Run chunk `k`'s carriers through the sampling decision path,
-    /// deferring shared-state mutations into shard `k`.
-    ///
-    /// SAFETY: the caller must run each `k < chunks.len()` at most once
-    /// per phase, with `chunks` a partition of `carriers`.
-    unsafe fn run_chunk(&self, k: usize) {
-        let (start, end) = self.chunks[k];
-        let shard = &mut *self.shards.add(k);
+impl SampleScan<'_> {
+    /// Run the part's carriers through the sampling decision path,
+    /// deferring shared-state mutations into its shard.
+    fn run(&self, part: SamplePart<'_>) {
+        let SamplePart { first, carriers, nodes, mut samplers, shard } = part;
         shard.effects.clear();
-        for &ci in &self.carriers[start as usize..end as usize] {
+        for &ci in carriers {
             let i = ci as usize;
             if !self.alive[i] {
                 continue;
             }
             let node_id = NodeId::from_index(i);
-            let node = &mut *self.nodes.add(i);
-            let mut sampler_row = (!self.samplers.is_null()).then(|| &mut *self.samplers.add(i));
+            let node = &mut nodes[i - first];
+            let mut sampler_row = samplers.as_deref_mut().map(|rows| &mut rows[i - first]);
             let mut mask = self.masks[i];
             while mask != 0 {
                 let idx = mask.trailing_zeros() as usize;
@@ -2161,46 +2168,37 @@ impl SamplePhase<'_> {
     }
 }
 
-/// Shared view of the engine state the repair scan needs. The MAC goes in
-/// as a raw pointer because `NeighborArena` holds per-node `Cell` caches
-/// that make it `!Sync`; the scan only calls `neighbor_table(..).nodes()`
-/// / `.get(..)`, which never touch those cells. `detached` entries are
-/// written by the owning node's chunk alone.
-struct RepairPhase<'a> {
-    detached: *mut Option<u64>,
-    shards: *mut UpkeepShard,
-    mac: *const LmacNetwork<DirqMessage>,
+/// The read-only engine state every repair part shares. The MAC is read
+/// through its cache-free `Sync` row view.
+struct RepairScan<'a> {
+    rows: NeighborRows<'a>,
     alive: &'a [bool],
     attach_depth: &'a [Option<u32>],
     /// Pre-pass parent snapshot (the live parents at phase start).
     parents: &'a [Option<NodeId>],
     epoch: u64,
-    chunks: &'a [(u32, u32)],
 }
 
-// SAFETY: chunks cover disjoint node ranges, each node's `detached` slot
-// is written only by its own chunk, shard `k` is written by chunk `k`
-// alone, and the MAC access is restricted to the Cell-free read-only
-// neighbour-view methods (see the struct doc).
-unsafe impl Sync for RepairPhase<'_> {}
+/// One repair part: a contiguous node range's `detached_since` slots and
+/// the shard its decisions go to.
+struct RepairPart<'a> {
+    /// Node index of `detached[0]`.
+    first: usize,
+    detached: &'a mut [Option<u64>],
+    shard: &'a mut UpkeepShard,
+}
 
-impl RepairPhase<'_> {
-    /// Scan chunk `k`'s nodes (`1 + start .. 1 + end`): detached-since
-    /// tracking plus the orphan/fallback decisions, recorded into shard
-    /// `k` in ascending node order.
-    ///
-    /// SAFETY: the caller must run each `k < chunks.len()` at most once
-    /// per phase, with `chunks` a partition of `0..n-1` (offset by the
-    /// root).
-    unsafe fn run_chunk(&self, k: usize) {
-        let (start, end) = self.chunks[k];
-        let shard = &mut *self.shards.add(k);
+impl RepairScan<'_> {
+    /// Scan the part's nodes: detached-since tracking plus the
+    /// orphan/fallback decisions, recorded into its shard in ascending
+    /// node order.
+    fn run(&self, part: RepairPart<'_>) {
+        let RepairPart { first, detached, shard } = part;
         shard.cand_pool.clear();
         shard.orphans.clear();
         shard.fallbacks.clear();
-        for i in (1 + start as usize)..(1 + end as usize) {
+        for (i, detached) in (first..).zip(detached) {
             let node = NodeId::from_index(i);
-            let detached = &mut *self.detached.add(i);
             // Tracking: the same per-node rule as the serial loop (safe to
             // fuse — no later repair step reads another node's slot).
             if !self.alive[i] || self.attach_depth[i].is_some() {
@@ -2213,10 +2211,9 @@ impl RepairPhase<'_> {
             }
             // Primary scan: orphan candidates against the parent snapshot.
             if self.parents[i].is_none() {
-                let table = (*self.mac).neighbor_table(node);
                 let cand_start = shard.cand_pool.len() as u32;
-                shard.cand_pool.extend(table.nodes().filter_map(|nb| {
-                    let info = table.get(nb).expect("listed neighbour");
+                shard.cand_pool.extend(self.rows.nodes(node).filter_map(|nb| {
+                    let info = self.rows.get(node, nb).expect("listed neighbour");
                     (info.gateway_dist != u16::MAX).then_some((info.gateway_dist, nb))
                 }));
                 let cands = &mut shard.cand_pool[cand_start as usize..];
@@ -2236,9 +2233,9 @@ impl RepairPhase<'_> {
             if let Some(since) = *detached {
                 if self.epoch.saturating_sub(since) >= DETACH_FALLBACK_EPOCHS {
                     let attach_depth = self.attach_depth;
-                    let choice = (*self.mac)
-                        .neighbor_table(node)
-                        .nodes()
+                    let choice = self
+                        .rows
+                        .nodes(node)
                         .filter(|&nb| attach_depth[nb.index()].is_some())
                         .min_by_key(|&nb| (attach_depth[nb.index()].unwrap_or(u32::MAX), nb));
                     if let Some(new_parent) = choice {
@@ -2273,6 +2270,15 @@ fn snapshot_would_cycle(
         cur = parents[p.index()];
     }
     false
+}
+
+/// Split the first `len` elements off `rest`: returns them and leaves the
+/// remainder in `rest` (how the sharded passes hand each fan-out part its
+/// own node range).
+fn take_head<'a, T>(rest: &mut &'a mut [T], len: usize) -> &'a mut [T] {
+    let (head, tail) = std::mem::take(rest).split_at_mut(len);
+    *rest = tail;
+    head
 }
 
 /// Split `items` work items into at most `nshards` contiguous non-empty

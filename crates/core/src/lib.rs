@@ -26,6 +26,7 @@
 //! * [`engine`] — the scenario engine wiring the DES, LMAC, world and
 //!   protocol together; [`engine::run_scenario`] is the main entry point.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod atc;

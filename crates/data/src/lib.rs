@@ -21,6 +21,7 @@
 //!   fraction of the network (sources **plus** forwarding nodes, the
 //!   paper's definition of "percentage of nodes involved") is relevant.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod field;

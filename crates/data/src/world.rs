@@ -26,15 +26,16 @@
 //!   draws, and skipping it cannot shift any other stream;
 //! * **stream isolation** — adding/removing a sensor (or churn) never
 //!   perturbs another `(node, type)` sequence;
-//! * **order-free parallelism** — the per-epoch advance shards across the
-//!   [`WorkerPool`] by node range and is **bit-identical at any worker
-//!   count by construction**: each cell's value is a pure function of its
-//!   own key, epoch and local AR(1) state, and the "merge" is the indexed
-//!   write into `readings[type][node]`.
+//! * **order-free parallelism** — the per-epoch advance fans out by node
+//!   range ([`dirq_sim::runner::fan_out`], scoped threads per epoch) and
+//!   is **bit-identical at any worker count by construction**: each
+//!   cell's value is a pure function of its own key, epoch and local
+//!   AR(1) state, and the "merge" is the indexed write into
+//!   `readings[type][node]`.
 
 use dirq_net::Topology;
 use dirq_sim::rng::sample_std_normal_pair;
-use dirq_sim::runner::WorkerPool;
+use dirq_sim::runner::{fan_out, host_workers};
 use dirq_sim::{split_key, RngFactory, SimRng, StreamRng};
 
 use crate::field::SpatialField;
@@ -217,9 +218,9 @@ impl WorldConfig {
 /// epoch's window.
 const DRAW_BUDGET_LOG2: u32 = 3;
 
-/// Below this node count the sharded advance is not worth the dispatch
+/// Below this node count the sharded advance is not worth the fan-out
 /// (the whole epoch is a few microseconds); the serial loop is used even
-/// when a pool is configured. Results are identical either way.
+/// when several workers are configured. Results are identical either way.
 const PARALLEL_MIN_NODES: usize = 512;
 
 /// Per-type dynamic state.
@@ -255,10 +256,11 @@ pub struct SensorWorld {
     mask_cache: Vec<u64>,
     /// Assignment version [`SensorAssignment::version`] the cache mirrors.
     mask_version: Option<u64>,
-    /// Worker pool for the sharded advance (`None` below 2 workers).
-    pool: Option<WorkerPool>,
-    /// Run the sharded advance even when the pool has no runnable helper
-    /// or the world is small (test hook; results are identical).
+    /// Threads for the sharded advance, clamped to the host once by
+    /// [`SensorWorld::set_workers`] (1 = serial).
+    workers: usize,
+    /// Run the sharded advance even at one resolved worker or on a small
+    /// world (test hook; results are identical).
     force_sharded: bool,
 }
 
@@ -285,60 +287,31 @@ fn generate_cell(
     field + shared + local_value + noise_sigma * z_noise
 }
 
-/// Raw per-type pointers for the sharded advance. Shards process disjoint
-/// node ranges, so the indexed stores into `readings` and `locals` never
-/// alias; `field` and `node_keys` are read-only.
-struct TypePtrs {
-    readings: *mut f64,
-    locals: *mut Ar1,
-    field: *const f64,
-    node_keys: *const u64,
+/// One part of the sharded advance: a node-range chunk of one type's
+/// arrays. Parts own disjoint `&mut` chunks of `readings`/`local`, so the
+/// fan-out needs no shared mutable state.
+struct AdvanceChunk<'a> {
+    bit: u64,
+    masks: &'a [u64],
+    readings: &'a mut [f64],
+    local: &'a mut [Ar1],
+    field: &'a [f64],
+    node_keys: &'a [u64],
     shared: f64,
     noise_sigma: f64,
 }
 
-/// The sharded advance job: per-type pointer bundles plus the shared
-/// read-only inputs each chunk needs.
-struct AdvanceShards<'a> {
-    types: Vec<TypePtrs>,
-    masks: &'a [u64],
-    epoch: u64,
-    n: usize,
-    chunk: usize,
-}
-
-// SAFETY: the raw pointers target disjoint per-node slots across chunks
-// (chunk k owns node range [k·chunk, (k+1)·chunk)); everything else is
-// read-only shared state.
-unsafe impl Sync for AdvanceShards<'_> {}
-
-impl AdvanceShards<'_> {
-    /// Generate every `(node, type)` cell of chunk `k`. Type-outer loop:
-    /// within a type every array access walks the chunk's node range
-    /// sequentially.
-    ///
-    /// # Safety
-    /// Each chunk index must be claimed at most once per epoch (the
-    /// worker pool guarantees exactly-once execution).
-    unsafe fn run_chunk(&self, k: usize) {
-        let lo = k * self.chunk;
-        let hi = (lo + self.chunk).min(self.n);
-        for (t, tp) in self.types.iter().enumerate() {
-            let bit = 1u64 << t;
-            for node in lo..hi {
-                *tp.readings.add(node) = if self.masks[node] & bit != 0 {
-                    generate_cell(
-                        &mut *tp.locals.add(node),
-                        *tp.node_keys.add(node),
-                        self.epoch,
-                        *tp.field.add(node),
-                        tp.shared,
-                        tp.noise_sigma,
-                    )
-                } else {
-                    f64::NAN
-                };
-            }
+impl AdvanceChunk<'_> {
+    /// Generate every cell of the chunk, in node order.
+    fn run(self, epoch: u64) {
+        let cells = self.readings.iter_mut().zip(self.local.iter_mut());
+        let inputs = self.masks.iter().zip(self.field).zip(self.node_keys);
+        for ((reading, local), ((&mask, &field), &key)) in cells.zip(inputs) {
+            *reading = if mask & self.bit != 0 {
+                generate_cell(local, key, epoch, field, self.shared, self.noise_sigma)
+            } else {
+                f64::NAN
+            };
         }
     }
 }
@@ -412,7 +385,7 @@ impl SensorWorld {
             epoch: 0,
             mask_cache: Vec::new(),
             mask_version: None,
-            pool: None,
+            workers: 1,
             force_sharded: false,
         };
         world.regenerate_readings();
@@ -420,32 +393,23 @@ impl SensorWorld {
     }
 
     /// Configure the parallel advance: shard the per-epoch generation over
-    /// `workers` threads (1 disables the pool). No pool is spawned below
-    /// [`PARALLEL_MIN_NODES`] — the sharded path would never engage, so
-    /// small worlds skip the helper threads entirely. The pool's helpers
-    /// are clamped to the machine's available parallelism, and a pool
-    /// without a runnable helper (the 1-core case) falls back to the
-    /// serial loop — worker counts only ever change speed, never results.
+    /// `workers` threads (1 = serial). The count is clamped to the host's
+    /// available parallelism here, once; worlds below [`PARALLEL_MIN_NODES`]
+    /// and hosts with one core run the serial loop. Each epoch's fan-out
+    /// spawns scoped threads that end with the advance — no thread is kept
+    /// between epochs. Worker counts only ever change speed, never results.
     pub fn set_workers(&mut self, workers: usize) {
-        self.pool = if workers > 1 && self.assignment.len() >= PARALLEL_MIN_NODES {
-            Some(WorkerPool::new(workers))
-        } else {
-            None
-        };
+        self.workers = host_workers(workers);
     }
 
-    /// Threads the advance can use (1 when no pool is configured).
-    pub fn workers(&self) -> usize {
-        self.pool.as_ref().map_or(1, WorkerPool::workers)
-    }
-
-    /// Run the sharded advance at `workers` threads even on 1-core hosts
-    /// and below the small-world threshold. Differential-test hook;
-    /// results are identical to the serial loop either way.
+    /// Run the sharded advance over `workers` threads (clamped to the
+    /// host) even on 1-core hosts and below the small-world threshold.
+    /// Differential-test hook; results are identical to the serial loop
+    /// either way.
     #[doc(hidden)]
     pub fn force_sharded_advance(&mut self, workers: usize) {
         assert!(workers > 1, "sharded advance requires more than one worker");
-        self.pool = Some(WorkerPool::new(workers));
+        self.workers = host_workers(workers);
         self.force_sharded = true;
     }
 
@@ -566,10 +530,7 @@ impl SensorWorld {
             self.mask_cache = (0..n).map(|i| self.assignment.carried_mask(i)).collect();
             self.mask_version = Some(self.assignment.version());
         }
-        let sharded = self.pool.is_some()
-            && (self.force_sharded
-                || (n >= PARALLEL_MIN_NODES
-                    && self.pool.as_ref().is_some_and(|p| p.workers() > 1)));
+        let sharded = self.force_sharded || (self.workers > 1 && n >= PARALLEL_MIN_NODES);
         if !sharded {
             // Type-outer loop: the mask, local-state, key, field and
             // reading arrays all walk node order sequentially.
@@ -595,29 +556,33 @@ impl SensorWorld {
             }
             return;
         }
-        // Sharded: contiguous node chunks fan out over the pool. The
-        // per-type pointer bundles give each chunk aliasing-free indexed
-        // access to its own node range.
-        let types: Vec<TypePtrs> = self
-            .states
-            .iter_mut()
-            .zip(self.readings.iter_mut())
-            .map(|(state, row)| TypePtrs {
-                readings: row.as_mut_ptr(),
-                locals: state.local.as_mut_ptr(),
-                field: state.field_at_node.as_ptr(),
-                node_keys: state.node_keys.as_ptr(),
-                shared: state.diurnal.value(epoch) + state.regional.value(),
-                noise_sigma: state.noise_sigma,
-            })
-            .collect();
-        let pool = self.pool.as_mut().expect("sharded advance requires the pool");
+        // Sharded: every type's arrays split into the same contiguous node
+        // chunks, one fan-out part per (type, chunk).
         // Chunks of at least 64 nodes, ~4 per worker for balance.
-        let chunk = n.div_ceil(pool.workers() * 4).max(64);
-        let shards = AdvanceShards { types, masks: &self.mask_cache, epoch, n, chunk };
-        // SAFETY: the pool executes each chunk exactly once, and chunks
-        // touch disjoint node ranges (see `AdvanceShards`).
-        pool.run(n.div_ceil(chunk), &|k| unsafe { shards.run_chunk(k) });
+        let chunk = n.div_ceil(self.workers * 4).max(64);
+        let masks = &self.mask_cache;
+        let mut parts = Vec::new();
+        for (t, (state, row)) in self.states.iter_mut().zip(self.readings.iter_mut()).enumerate() {
+            let shared = state.diurnal.value(epoch) + state.regional.value();
+            let cells = row.chunks_mut(chunk).zip(state.local.chunks_mut(chunk));
+            let inputs = masks
+                .chunks(chunk)
+                .zip(state.field_at_node.chunks(chunk))
+                .zip(state.node_keys.chunks(chunk));
+            for ((readings, local), ((masks, field), node_keys)) in cells.zip(inputs) {
+                parts.push(AdvanceChunk {
+                    bit: 1u64 << t,
+                    masks,
+                    readings,
+                    local,
+                    field,
+                    node_keys,
+                    shared,
+                    noise_sigma: state.noise_sigma,
+                });
+            }
+        }
+        fan_out(self.workers, parts, |part| part.run(epoch));
     }
 
     /// The reading node `node` acquired this epoch for `t`

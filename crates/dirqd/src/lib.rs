@@ -31,6 +31,7 @@
 //! snapshot/restore round trip is asserted by the integration tests and
 //! the loadgen smoke mode.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod client;

@@ -236,8 +236,10 @@ pub struct ServingOptions {
     /// when `checkpoint_every_epochs > 0`).
     pub checkpoint_dir: Option<String>,
     /// Intra-engine protocol-upkeep workers
-    /// ([`dirq_core::ScenarioConfig::upkeep_workers`]); never affects
-    /// results, only epoch wall time.
+    /// ([`dirq_core::ScenarioConfig::upkeep_workers`]): the engine clamps
+    /// the value to the host's parallelism when it is built, so a large
+    /// count off the wire sizes no threads or buffers beyond the host.
+    /// Never affects results, only epoch wall time.
     pub upkeep_workers: usize,
 }
 

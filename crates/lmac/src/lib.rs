@@ -40,6 +40,7 @@
 //!   ledger tracks LMAC's own overhead, which the paper excludes because it
 //!   is identical for DirQ and flooding.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod config;
@@ -50,6 +51,6 @@ pub mod slots;
 
 pub use config::LmacConfig;
 pub use indication::{Destination, MacIndication, PayloadHandle};
-pub use neighbor::{NeighborArena, NeighborInfo, NeighborView};
+pub use neighbor::{NeighborArena, NeighborInfo, NeighborRows, NeighborView};
 pub use network::LmacNetwork;
 pub use slots::SlotSet;

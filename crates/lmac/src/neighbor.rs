@@ -27,6 +27,10 @@
 //! only when an update could have changed them; in steady state the caches
 //! never invalidate.
 //!
+//! [`NeighborRows`] is the view's cache-free `Sync` counterpart: it borrows
+//! only the row and entry arrays, so several threads can read rows through
+//! it (the engine's sharded repair scan does).
+//!
 //! ## Write discipline
 //!
 //! Every mutation goes through `&mut NeighborArena` on one thread. Each
@@ -132,17 +136,15 @@ impl NeighborArena {
         self.present.is_empty()
     }
 
+    /// Cache-free read view over every row (see [`NeighborRows`]).
     #[inline]
-    fn row_bounds(&self, node: NodeId) -> (usize, usize) {
-        let i = node.index();
-        (self.row_offsets[i] as usize, self.row_offsets[i + 1] as usize)
-    }
-
-    /// Storage index of `listener`'s entry for `node` (`None` when the two
-    /// are not adjacent).
-    fn edge_of(&self, listener: NodeId, node: NodeId) -> Option<usize> {
-        let (lo, hi) = self.row_bounds(listener);
-        self.ids[lo..hi].binary_search(&node).ok().map(|p| self.rev[lo + p] as usize)
+    pub fn rows(&self) -> NeighborRows<'_> {
+        NeighborRows {
+            row_offsets: &self.row_offsets,
+            ids: &self.ids,
+            rev: &self.rev,
+            entries: &self.entries,
+        }
     }
 
     /// Mark `listener`'s row caches dirty.
@@ -160,7 +162,7 @@ impl NeighborArena {
 
     /// Forget everything `node`'s row knows (death/rebirth reset).
     pub fn reset_row(&mut self, node: NodeId) {
-        let (lo, hi) = self.row_bounds(node);
+        let (lo, hi) = self.rows().row_bounds(node);
         for &s in &self.rev[lo..hi] {
             self.entries[s as usize] = None;
         }
@@ -185,6 +187,7 @@ impl NeighborArena {
         frame: u64,
     ) -> bool {
         let edge = self
+            .rows()
             .edge_of(listener, node)
             .unwrap_or_else(|| panic!("{node} is not in {listener}'s topology row"));
         self.heard_at(listener, edge, slot, occupied, gateway_dist, frame)
@@ -230,7 +233,7 @@ impl NeighborArena {
 
     /// Remove `node` from `listener`'s row; returns whether it was present.
     pub fn remove(&mut self, listener: NodeId, node: NodeId) -> bool {
-        let Some(edge) = self.edge_of(listener, node) else {
+        let Some(edge) = self.rows().edge_of(listener, node) else {
             return false;
         };
         if self.entries[edge].take().is_none() {
@@ -312,6 +315,54 @@ impl NeighborArena {
     }
 }
 
+/// Read-only view over every arena row that borrows only the row and
+/// entry arrays, not the per-node `Cell` aggregate caches. It is therefore
+/// `Sync`: the engine's sharded repair scan reads neighbour rows from
+/// several threads through it. It offers the cache-free lookups only; the
+/// cached aggregates stay on [`NeighborView`].
+#[derive(Clone, Copy)]
+pub struct NeighborRows<'a> {
+    row_offsets: &'a [u32],
+    ids: &'a [NodeId],
+    rev: &'a [u32],
+    entries: &'a [Option<NeighborInfo>],
+}
+
+impl<'a> NeighborRows<'a> {
+    #[inline]
+    fn row_bounds(&self, node: NodeId) -> (usize, usize) {
+        let i = node.index();
+        (self.row_offsets[i] as usize, self.row_offsets[i + 1] as usize)
+    }
+
+    /// Storage index of `listener`'s entry for `node` (`None` when the two
+    /// are not adjacent).
+    fn edge_of(&self, listener: NodeId, node: NodeId) -> Option<usize> {
+        let (lo, hi) = self.row_bounds(listener);
+        self.ids[lo..hi].binary_search(&node).ok().map(|p| self.rev[lo + p] as usize)
+    }
+
+    /// `node`'s known neighbours with their ids, ascending.
+    fn present(self, node: NodeId) -> impl Iterator<Item = (&'a NeighborInfo, NodeId)> + 'a {
+        let (lo, hi) = self.row_bounds(node);
+        let entries = self.entries;
+        self.rev[lo..hi]
+            .iter()
+            .zip(&self.ids[lo..hi])
+            .filter_map(move |(&s, &id)| Some((entries[s as usize].as_ref()?, id)))
+    }
+
+    /// What `node` knows about `neighbor`.
+    pub fn get(&self, node: NodeId, neighbor: NodeId) -> Option<NeighborInfo> {
+        self.entries[self.edge_of(node, neighbor)?]
+    }
+
+    /// `node`'s known neighbour ids, ascending.
+    pub fn nodes(self, node: NodeId) -> impl Iterator<Item = NodeId> + 'a {
+        self.present(node).map(|(_, id)| id)
+    }
+}
+
 /// Read-only cursor over one node's arena row — the cross-layer view DirQ
 /// uses to repair its tree, and the MAC's own slot-selection input.
 #[derive(Clone, Copy)]
@@ -323,22 +374,17 @@ pub struct NeighborView<'a> {
 impl<'a> NeighborView<'a> {
     /// The row's known neighbours with their ids, ascending.
     fn present(&self) -> impl Iterator<Item = (&'a NeighborInfo, NodeId)> + 'a {
-        let arena = self.arena;
-        let (lo, hi) = arena.row_bounds(self.node);
-        arena.rev[lo..hi]
-            .iter()
-            .zip(&arena.ids[lo..hi])
-            .filter_map(move |(&s, &id)| Some((arena.entries[s as usize].as_ref()?, id)))
+        self.arena.rows().present(self.node)
     }
 
     /// Look up a neighbour.
     pub fn get(&self, node: NodeId) -> Option<NeighborInfo> {
-        self.arena.entries[self.arena.edge_of(self.node, node)?]
+        self.arena.rows().get(self.node, node)
     }
 
     /// All known neighbour ids, ascending.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + 'a {
-        self.present().map(|(_, id)| id)
+        self.arena.rows().nodes(self.node)
     }
 
     /// Number of known neighbours.
@@ -485,6 +531,19 @@ mod tests {
                 assert_eq!(v.get(t).unwrap().slot, Some(t.index() as u16));
             }
         }
+        // The cache-free row view is `Sync`: another thread reads the same
+        // rows through it.
+        let rows = a.rows();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for l in topo.nodes() {
+                    assert_eq!(rows.nodes(l).collect::<Vec<_>>(), topo.neighbors(l));
+                    for &t in topo.neighbors(l) {
+                        assert_eq!(rows.get(l, t).unwrap().slot, Some(t.index() as u16));
+                    }
+                }
+            });
+        });
     }
 
     #[test]

@@ -59,7 +59,7 @@ use rand::Rng;
 
 use crate::config::LmacConfig;
 use crate::indication::{Destination, MacIndication, PayloadHandle};
-use crate::neighbor::{NeighborArena, NeighborView};
+use crate::neighbor::{NeighborArena, NeighborRows, NeighborView};
 use crate::slots::SlotSet;
 
 /// Aggregate MAC statistics for a run.
@@ -338,6 +338,12 @@ impl<P> LmacNetwork<P> {
     /// the information DirQ uses to repair its tree).
     pub fn neighbor_table(&self, node: NodeId) -> NeighborView<'_> {
         self.arena.view(node)
+    }
+
+    /// Every node's neighbour row through the cache-free `Sync` view (see
+    /// [`NeighborRows`]), for readers on several threads.
+    pub fn neighbor_rows(&self) -> NeighborRows<'_> {
+        self.arena.rows()
     }
 
     /// Hop distance to the gateway as the MAC currently believes it

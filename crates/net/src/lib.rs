@@ -22,6 +22,7 @@
 //!   experiments.
 //! * [`dot`] — Graphviz export for debugging and documentation.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bits;

@@ -44,6 +44,7 @@
 //! assert!(dirq_sim::json::Json::parse(&doc.render_pretty()).is_ok());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod registry;

@@ -25,13 +25,15 @@ pub struct SweepConfig {
     pub epoch_scale: f64,
     /// Intra-run world-generation workers
     /// ([`dirq_core::ScenarioConfig::world_workers`]): the split-stream
-    /// parallel world advance inside each simulation. Never affects
+    /// world advance inside each simulation, fanned out per epoch over
+    /// scoped threads (clamped to the host). Never affects
     /// results — bit-identical at any count, enforced by the CI smoke
     /// worker matrix and the world differential suite.
     pub world_workers: usize,
     /// Intra-run protocol-upkeep workers
-    /// ([`dirq_core::ScenarioConfig::upkeep_workers`]): sharded sensor
-    /// sampling and tree-repair scans inside each simulation. Never
+    /// ([`dirq_core::ScenarioConfig::upkeep_workers`]): sensor sampling
+    /// and tree-repair scans inside each simulation, fanned out per epoch
+    /// over scoped threads (clamped to the host). Never
     /// affects results — bit-identical at any count, enforced by the CI
     /// smoke worker matrix and the upkeep differential suite.
     pub upkeep_workers: usize,

@@ -14,8 +14,8 @@
 //!   bucketed time series used by the measurement harness.
 //! * [`runner`] — a parallel parameter-sweep/matrix executor (one
 //!   simulation per thread, deterministic output ordering, seed
-//!   replication) and the persistent [`runner::WorkerPool`] behind the
-//!   engine's sharded world and upkeep passes.
+//!   replication) built on [`runner::fan_out`], the scoped per-call
+//!   fan-out behind the engine's sharded world and upkeep passes.
 //! * [`report`] — tiny CSV/ASCII-table emitters for experiment output.
 //! * [`json`] — a deterministic JSON writer/parser for bench artifacts,
 //!   scenario reports and the daemon wire protocol.
@@ -23,6 +23,7 @@
 //!   checkpoint/restore (and the on-disk image framing).
 //! * [`fingerprint`] — the FNV-1a hasher behind every determinism golden.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod fingerprint;

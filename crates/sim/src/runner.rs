@@ -1,20 +1,27 @@
-//! Parallel parameter-sweep executor.
+//! Parallel fan-out: parameter sweeps and the engine's sharded passes.
 //!
 //! Each figure in the paper sweeps a parameter (threshold δ, relevant-node
 //! percentage, …) over full 20 000-epoch simulations. Individual simulations
 //! are single-threaded and deterministic; the sweep fans the parameter
 //! points across worker threads and returns results in input order, so
 //! parallel and sequential execution produce byte-identical reports.
+//!
+//! [`fan_out`] is the one threading primitive underneath: scoped threads
+//! that live for one call and claim owned parts from a shared queue. The
+//! sweeps fan out `(parameter, result slot)` pairs; the engine's sharded
+//! world advance, sensor sampling and repair scan fan out disjoint
+//! per-node slices once per epoch. No thread outlives the call that
+//! spawned it.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-
-use crossbeam::channel;
+use std::any::Any;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::Mutex;
 
 /// Run `f` over every element of `params`, in parallel, preserving order.
 ///
-/// `threads = 0` selects the available CPU parallelism. Panics in workers
-/// are propagated to the caller.
+/// `threads = 0` selects the available CPU parallelism. A panic in `f` is
+/// re-raised with its original payload once every other parameter ran
+/// (see [`fan_out`]).
 ///
 /// ```
 /// let squares = dirq_sim::runner::run_sweep(&[1u64, 2, 3, 4], 2, |&x| x * x);
@@ -26,52 +33,15 @@ where
     R: Send,
     F: Fn(&P) -> R + Sync,
 {
-    if params.is_empty() {
-        return Vec::new();
-    }
-    let threads = effective_threads(threads, params.len());
-    if threads <= 1 {
-        return params.iter().map(&f).collect();
-    }
-
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = channel::unbounded::<(usize, R)>();
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let tx = tx.clone();
-            let next = &next;
-            let f = &f;
-            scope.spawn(move || {
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= params.len() {
-                        break;
-                    }
-                    let r = f(&params[i]);
-                    // The receiver lives as long as the scope; send can only
-                    // fail if the main thread panicked, in which case the
-                    // whole scope unwinds anyway.
-                    let _ = tx.send((i, r));
-                }
-            });
-        }
-        drop(tx);
-
-        let mut slots: Vec<Option<R>> = (0..params.len()).map(|_| None).collect();
-        for (i, r) in rx {
-            slots[i] = Some(r);
-        }
-        slots
-            .into_iter()
-            .map(|s| s.expect("worker thread panicked before producing a result"))
-            .collect()
-    })
+    let mut slots: Vec<Option<R>> = params.iter().map(|_| None).collect();
+    let parts: Vec<(&P, &mut Option<R>)> = params.iter().zip(slots.iter_mut()).collect();
+    fan_out(effective_threads(threads, params.len()), parts, |(p, slot)| *slot = Some(f(p)));
+    slots.into_iter().map(|s| s.expect("fan_out runs every part")).collect()
 }
 
 /// Run a parameter matrix with seed replication: every element of
 /// `params` is evaluated `replicates` times (`f(param, replicate)`), all
-/// cells fanned out over one worker pool, and the results returned as
+/// cells fanned out together, and the results returned as
 /// `out[param_index][replicate]`.
 ///
 /// Like [`run_sweep`], output ordering is independent of `threads`, so a
@@ -106,247 +76,80 @@ pub fn effective_threads(requested: usize, jobs: usize) -> usize {
     t.min(jobs).max(1)
 }
 
-/// Generation tag mask of [`PoolInner::cursor`] (high 32 bits).
-const GEN_MASK: u64 = 0xFFFF_FFFF_0000_0000;
-
-/// An erased [`WorkerPool`] job: the item closure (a raw pointer, so the
-/// cell may legally outlive the closure between generations), the item
-/// count, and the generation tag the job belongs to. Carrying the tag
-/// *inside* the job pins closure, count and generation together: a
-/// helper that reads a newer job than the `seq` it woke on simply claims
-/// against the newer generation (or finds the cursor tag mismatched and
-/// retires) — it can never pair an old count with a new cursor. The
-/// pointer is re-borrowed only under a successful same-generation claim,
-/// which guarantees the closure is still alive (`run` has not returned).
-type Job = (*const (dyn Fn(usize) + Sync), usize, u64);
-
-/// A persistent work-stealing worker pool for **fine-grained, repeated**
-/// fan-outs — the reuse primitive behind the engine's sharded per-epoch
-/// passes (world advance, sensor sampling, repair scans). [`run_sweep`]
-/// spawns scoped threads per call, which is fine for second-long
-/// simulation jobs but prohibitive for the sub-millisecond work inside
-/// one epoch; a `WorkerPool` spawns its helpers once and re-dispatches to
-/// them every epoch.
-///
-/// ## Execution model
-///
-/// [`WorkerPool::run`] publishes `items` independent work items; the
-/// calling thread and every helper claim items **dynamically** through an
-/// atomic cursor and `run` returns once all items completed. Two
-/// consequences:
-///
-/// * **No stragglers by construction** — on a machine with fewer cores
-///   than workers (including the degenerate 1-core case) the caller
-///   simply claims every item itself and never blocks on a helper; a
-///   helper that wakes late finds the cursor exhausted and goes back to
-///   sleep off the critical path.
-/// * **Scheduling-independent results are the caller's contract** — items
-///   may execute on any thread in any interleaving, so callers that need
-///   determinism must make items independent and merge their outputs in a
-///   fixed order (the engine replays per-chunk effects in chunk order).
-///
-/// The cursor carries a generation tag so a helper parked through several
-/// `run` calls can never claim (or double-claim) items from a generation
-/// it did not observe; claims use compare-and-swap, so a stale helper
-/// never consumes another generation's item slot.
-pub struct WorkerPool {
-    inner: Arc<PoolInner>,
-    handles: Vec<std::thread::JoinHandle<()>>,
+/// Clamp a requested worker count to `1..=available`.
+fn clamp_workers(requested: usize, available: usize) -> usize {
+    requested.min(available).max(1)
 }
 
-struct PoolInner {
-    /// Packed claim cursor: high 32 bits = generation, low 32 = next item.
-    cursor: AtomicU64,
-    /// Items completed in the current generation.
-    completed: AtomicUsize,
-    /// Current generation; stored after the job is published.
-    seq: AtomicU64,
-    stop: AtomicBool,
-    /// Set by a panicking item of the **current** generation; cleared at
-    /// the start of every `run`.
-    poisoned: AtomicBool,
-    /// First panic payload of the current generation, re-raised by `run`.
-    panic_payload: Mutex<Option<Box<dyn std::any::Any + Send>>>,
-    /// The published job: erased closure + item count. Behind a mutex so
-    /// a helper waking on a stale generation can never read the cell
-    /// concurrently with the next `run`'s overwrite; a helper that reads
-    /// a job it did not observe the generation of is stopped by the
-    /// cursor's generation tag before it can execute anything.
-    job: Mutex<Option<Job>>,
+/// `requested` workers clamped to this host's available parallelism.
+/// Worker counts reach the engine from configuration and from the `dirqd`
+/// wire, so the world and the engine resolve them through here once, when
+/// they are configured, before a count sizes a thread fan-out or a buffer.
+/// Workers beyond the host's cores would change nothing about results.
+pub fn host_workers(requested: usize) -> usize {
+    // One worker needs no probe: `available_parallelism` reads cgroup
+    // files, which costs a small engine's setup ~0.15 ms.
+    if requested <= 1 {
+        return 1;
+    }
+    clamp_workers(requested, std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
-// SAFETY: the raw closure pointer inside `job` is only dereferenced under
-// a same-generation cursor claim, and `run` does not return until every
-// claimed item completed — so the pointee is alive at every dereference
-// (the pointer itself may dangle between generations, which is fine for a
-// raw pointer). Everything else in `PoolInner` is Sync.
-unsafe impl Send for PoolInner {}
-unsafe impl Sync for PoolInner {}
-
-impl WorkerPool {
-    /// Pool targeting `workers` total threads (the caller of
-    /// [`WorkerPool::run`] counts as one). Helper threads are clamped to
-    /// the machine's available parallelism — extra logical workers change
-    /// nothing about results, so there is no point paying wake-ups for
-    /// helpers the hardware cannot run.
-    pub fn new(workers: usize) -> Self {
-        let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        let helpers = workers.min(hw).saturating_sub(1);
-        let inner = Arc::new(PoolInner {
-            cursor: AtomicU64::new(0),
-            completed: AtomicUsize::new(0),
-            seq: AtomicU64::new(0),
-            stop: AtomicBool::new(false),
-            poisoned: AtomicBool::new(false),
-            panic_payload: Mutex::new(None),
-            job: Mutex::new(None),
-        });
-        let handles = (0..helpers)
-            .map(|_| {
-                let inner = Arc::clone(&inner);
-                std::thread::spawn(move || helper_loop(&inner))
-            })
-            .collect();
-        WorkerPool { inner, handles }
-    }
-
-    /// Total threads that can claim items (helpers + the caller).
-    pub fn workers(&self) -> usize {
-        self.handles.len() + 1
-    }
-
-    /// Execute `f(0), …, f(items - 1)`, each exactly once, distributed
-    /// over the caller and the helper threads; returns when every item has
-    /// completed. Panics if any item of **this** call panicked (after all
-    /// items finished, so borrowed data stays valid throughout); the pool
-    /// remains usable afterwards.
-    ///
-    /// Takes `&mut self`: one job at a time per pool — concurrent `run`
-    /// calls would race the generation protocol.
-    pub fn run(&mut self, items: usize, f: &(dyn Fn(usize) + Sync)) {
-        assert!(items < u32::MAX as usize, "item count exceeds the cursor's range");
-        if items == 0 {
+/// Run `f` once on every element of `parts`, over `workers` threads: the
+/// calling thread plus up to `workers - 1` scoped helpers that live for
+/// this call only. Every thread claims the next part from one shared
+/// queue, so uneven parts balance dynamically; on a host with fewer cores
+/// than workers the caller simply drains the queue itself.
+///
+/// Parts are owned, so each can carry its own `&mut` slices of disjoint
+/// state (the engine's per-epoch passes split their per-node arrays by
+/// node range). Parts may run on any thread in any order: callers that
+/// need determinism make parts independent and merge their outputs in a
+/// fixed order afterwards.
+///
+/// A panicking part does not stop the others. Once every part has run,
+/// the first panic's original payload is re-raised, so its message
+/// survives.
+///
+/// ```
+/// let mut sums = vec![0u64; 4];
+/// let parts: Vec<(u64, &mut u64)> = (1..=4).zip(sums.iter_mut()).collect();
+/// dirq_sim::runner::fan_out(2, parts, |(x, out)| *out = x * x);
+/// assert_eq!(sums, vec![1, 4, 9, 16]);
+/// ```
+pub fn fan_out<P, F>(workers: usize, parts: Vec<P>, f: F)
+where
+    P: Send,
+    F: Fn(P) + Sync,
+{
+    let helpers = workers.min(parts.len()).saturating_sub(1);
+    let queue = Mutex::new(parts.into_iter());
+    let first_panic: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
+    // Neither lock is held while a part runs, so a panicking part cannot
+    // poison them.
+    let drain = || loop {
+        let Some(part) = queue.lock().expect("fan-out queue lock poisoned").next() else {
             return;
-        }
-        let inner = &*self.inner;
-        let seq = inner.seq.load(Ordering::Relaxed).wrapping_add(1);
-        let gen = (seq & 0xFFFF_FFFF) << 32;
-        // The lifetime erasure is sound because the pointer is only
-        // re-borrowed under a same-generation claim, and `run` does not
-        // return until every claimed item completed (see the struct docs).
-        let f_erased: *const (dyn Fn(usize) + Sync) =
-            unsafe { std::mem::transmute::<&(dyn Fn(usize) + Sync), _>(f) };
-        *inner.job.lock().expect("pool job mutex poisoned") = Some((f_erased, items, gen));
-        inner.poisoned.store(false, Ordering::Relaxed);
-        *inner.panic_payload.lock().expect("pool panic mutex poisoned") = None;
-        inner.completed.store(0, Ordering::Relaxed);
-        inner.cursor.store(gen, Ordering::Release);
-        inner.seq.store(seq, Ordering::Release);
-        for h in &self.handles {
-            h.thread().unpark();
-        }
-        claim_items(inner, gen, items, f_erased);
-        let mut spins = 0u32;
-        while inner.completed.load(Ordering::Acquire) < items {
-            spins += 1;
-            if spins < 128 {
-                std::hint::spin_loop();
-            } else {
-                // A helper still owns an item; give it the core.
-                std::thread::yield_now();
-            }
-        }
-        if inner.poisoned.load(Ordering::Acquire) {
-            // Re-raise the first failed item's panic with its original
-            // payload so the real assertion message survives. (Take it and
-            // release the lock *before* unwinding, or the mutex poisons.)
-            let payload = inner.panic_payload.lock().expect("pool panic mutex poisoned").take();
-            match payload {
-                Some(payload) => std::panic::resume_unwind(payload),
-                None => panic!("a WorkerPool item panicked"),
-            }
-        }
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        self.inner.stop.store(true, Ordering::Release);
-        for h in &self.handles {
-            h.thread().unpark();
-        }
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-/// Claim and execute items of generation `gen` until the cursor leaves the
-/// generation or exhausts. CAS (not fetch-add) so a stale claimer can
-/// never consume a slot of a generation it does not belong to.
-fn claim_items(inner: &PoolInner, gen: u64, items: usize, f: *const (dyn Fn(usize) + Sync)) {
-    loop {
-        let cur = inner.cursor.load(Ordering::Acquire);
-        let i = (cur & !GEN_MASK) as usize;
-        if cur & GEN_MASK != gen || i >= items {
-            return;
-        }
-        if inner
-            .cursor
-            .compare_exchange_weak(cur, cur + 1, Ordering::AcqRel, Ordering::Acquire)
-            .is_err()
-        {
-            continue;
-        }
-        // SAFETY: a successful same-generation claim means the publishing
-        // `run` is still waiting on `completed`, so the closure is alive.
-        let f = unsafe { &*f };
-        if let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(i))) {
-            let mut slot = inner.panic_payload.lock().expect("pool panic mutex poisoned");
-            slot.get_or_insert(payload);
-            drop(slot);
-            inner.poisoned.store(true, Ordering::Release);
-        }
-        inner.completed.fetch_add(1, Ordering::Release);
-    }
-}
-
-fn helper_loop(inner: &PoolInner) {
-    let mut last_seq = 0u64;
-    loop {
-        // Wait for a new generation: spin briefly in case the next run
-        // follows closely, then park.
-        let mut spins = 0u32;
-        let seq = loop {
-            let s = inner.seq.load(Ordering::Acquire);
-            if s != last_seq {
-                break s;
-            }
-            if inner.stop.load(Ordering::Acquire) {
-                return;
-            }
-            spins += 1;
-            if spins < 4_096 {
-                std::hint::spin_loop();
-            } else {
-                std::thread::park();
-            }
         };
-        last_seq = seq;
-        // The mutex makes this read safe against a concurrent republish by
-        // a later `run`. The generation comes from the job itself, never
-        // from the observed `seq`: reading a newer job than the wake-up
-        // seq just means claiming against the newer generation.
-        let Some((f, items, gen)) = *inner.job.lock().expect("pool job mutex poisoned") else {
-            continue;
-        };
-        claim_items(inner, gen, items, f);
+        if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| f(part))) {
+            first_panic.lock().expect("fan-out panic slot poisoned").get_or_insert(payload);
+        }
+    };
+    std::thread::scope(|scope| {
+        for _ in 0..helpers {
+            scope.spawn(drain);
+        }
+        drain();
+    });
+    if let Some(payload) = first_panic.into_inner().expect("fan-out panic slot poisoned") {
+        panic::resume_unwind(payload);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn empty_sweep() {
@@ -433,58 +236,49 @@ mod tests {
     }
 
     #[test]
-    fn pool_runs_every_item_exactly_once() {
-        let mut pool = WorkerPool::new(4);
-        let hits: Vec<AtomicUsize> = (0..97).map(|_| AtomicUsize::new(0)).collect();
-        pool.run(hits.len(), &|i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn pool_reuse_across_many_generations() {
-        // An engine pool serves thousands of tiny runs over its life.
-        // Totals must stay exact across generations.
-        let mut pool = WorkerPool::new(3);
-        let total = AtomicUsize::new(0);
-        for round in 0..5_000usize {
-            let items = 1 + round % 7;
-            pool.run(items, &|i| {
-                total.fetch_add(i + 1, Ordering::Relaxed);
-            });
+    fn fan_out_runs_every_part_exactly_once() {
+        // 1, 2 and 4 workers; zero parts, fewer parts than workers, more.
+        for workers in [1usize, 2, 4] {
+            for n in [0usize, 1, 3, 97] {
+                let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+                fan_out(workers, (0..n).collect(), |i| {
+                    hits[i].fetch_add(1, Ordering::Relaxed);
+                });
+                assert!(
+                    hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
+                    "{workers} workers, {n} parts"
+                );
+            }
         }
-        let expected: usize = (0..5_000).map(|r| (1..=(1 + r % 7)).sum::<usize>()).sum();
-        assert_eq!(total.load(Ordering::Relaxed), expected);
     }
 
     #[test]
-    fn pool_zero_items_is_a_noop_and_drop_joins() {
-        let mut pool = WorkerPool::new(2);
-        pool.run(0, &|_| panic!("must not be called"));
-        assert!(pool.workers() >= 1);
-        drop(pool); // must not hang
+    fn fan_out_reraises_the_panicking_parts_payload_after_the_rest_ran() {
+        for workers in [1usize, 2, 4] {
+            let done = AtomicUsize::new(0);
+            let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                fan_out(workers, (0..8).collect(), |i: usize| {
+                    if i == 3 {
+                        panic!("part {i} failed");
+                    }
+                    done.fetch_add(1, Ordering::Relaxed);
+                });
+            }));
+            let payload = result.expect_err("fan_out must surface the part's panic");
+            let msg = payload.downcast_ref::<String>().map(String::as_str);
+            assert_eq!(msg, Some("part 3 failed"), "{workers} workers: payload replaced");
+            assert_eq!(done.load(Ordering::Relaxed), 7, "{workers} workers: other parts still run");
+        }
     }
 
     #[test]
-    fn pool_item_panic_propagates_after_completion() {
-        let mut pool = WorkerPool::new(2);
-        let done = AtomicUsize::new(0);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.run(8, &|i| {
-                if i == 3 {
-                    panic!("boom");
-                }
-                done.fetch_add(1, Ordering::Relaxed);
-            });
-        }));
-        assert!(result.is_err(), "pool must surface the item panic");
-        assert_eq!(done.load(Ordering::Relaxed), 7, "other items still complete");
-        // Poisoning is per-run: a later, healthy generation must succeed.
-        let ok = AtomicUsize::new(0);
-        pool.run(5, &|_| {
-            ok.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(ok.load(Ordering::Relaxed), 5, "pool must stay usable after a panic");
+    fn worker_counts_clamp_to_the_host() {
+        assert_eq!(clamp_workers(usize::MAX, 2), 2);
+        assert_eq!(clamp_workers(usize::MAX, 1), 1);
+        assert_eq!(clamp_workers(3, 8), 3);
+        assert_eq!(clamp_workers(0, 8), 1);
+        let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(host_workers(usize::MAX), hw);
+        assert_eq!(host_workers(0), 1);
     }
 }

@@ -6,8 +6,8 @@
 //! substrate the paper runs on:
 //!
 //! * [`sim`] — the shared simulation substrate: seed-derived RNG streams,
-//!   statistics, the sweep runner and worker pool, JSON and snapshot
-//!   codecs (the paper used the OMNeT++ discrete-event simulator; this
+//!   statistics, the sweep runner and its scoped fan-out, JSON and
+//!   snapshot codecs (the paper used the OMNeT++ discrete-event simulator; this
 //!   reproduction steps epochs and TDMA slots directly),
 //! * [`net`] — node placement, radio models, topology graphs, spanning
 //!   trees, unit-cost energy accounting, churn schedules,
@@ -42,6 +42,7 @@
 //! See `examples/` for complete scenarios and `crates/bench` for the
 //! binaries regenerating every figure of the paper.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod goldens;
